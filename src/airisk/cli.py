@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import enum
-import json
 import os
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 from .documents import (
     AssessmentDocumentError,
     DocumentError,
+    canonical_json_bytes,
     format_document_error,
     parse_assessment,
 )
@@ -29,10 +29,12 @@ from .model import (
     CouplingCategory,
     EnergyLevel,
     InteractionCategory,
+    InvalidProfileError,
     KnowledgeGap,
+    Violation,
     validate_profile,
 )
-from .report import ReportFormat, build_report, format_usd, render_report
+from .report import ReportFormat, _md_table, build_report, format_usd, render_report
 from .rules import MEASURE_LABELS, RULES
 from .tables import (
     DEFAULT_DAMAGE_THRESHOLDS,
@@ -120,26 +122,27 @@ def _load_profile(path: str, strict: bool):
     return profile, None
 
 
+def _report_violations(path: str, violations: list[Violation]) -> ExitStatus:
+    for v in violations:
+        _eprint(f"{path}: {v.path}: {v.message}")
+    return ExitStatus.INVALID if violations else ExitStatus.OK
+
+
 def cmd_validate(args) -> ExitStatus:
     profile, status = _load_profile(args.path, args.strict)
     if profile is None:
         return status
-    violations = validate_profile(profile)
-    for v in violations:
-        _eprint(f"{args.path}: {v.path}: {v.message}")
-    return ExitStatus.INVALID if violations else ExitStatus.OK
+    return _report_violations(args.path, validate_profile(profile))
 
 
 def cmd_assess(args) -> ExitStatus:
     profile, status = _load_profile(args.path, args.strict)
     if profile is None:
         return status
-    violations = validate_profile(profile)
-    if violations:
-        for v in violations:
-            _eprint(f"{args.path}: {v.path}: {v.message}")
-        return ExitStatus.INVALID
-    report = build_report(profile, args.damage_thresholds)
+    try:
+        report = build_report(profile, args.damage_thresholds)
+    except InvalidProfileError as e:
+        return _report_violations(args.path, e.violations)
     color = (
         args.format == ReportFormat.TEXT.value
         and args.out is None
@@ -188,7 +191,7 @@ def _rules_machine() -> bytes:
             for rule in RULES
         ],
     }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return canonical_json_bytes(doc)
 
 
 def cmd_rules(args) -> ExitStatus:
@@ -245,15 +248,10 @@ def _tables_text(t: DamageThresholds) -> str:
 
 
 def _tables_markdown(t: DamageThresholds) -> str:
-    def md_table(header: list[str], rows: list[list[str]]) -> list[str]:
-        out = ["| " + " | ".join(header) + " |", "|" + "|".join(" --- " for _ in header) + "|"]
-        out += ["| " + " | ".join(row) + " |" for row in rows]
-        return out
-
     lines = ["# Decision Tables", "", "## System Accident Risk", ""]
-    lines += md_table(*_coupling_rows())
+    lines += _md_table(*_coupling_rows())
     lines += ["", "## Damage and Affected Parties", ""]
-    lines += md_table(*_energy_rows())
+    lines += _md_table(*_energy_rows())
     lines += ["", "## Damage Classes", ""]
     lines += [f"- {name}: {band}" for name, band in _damage_band_rows(t)]
     return "\n".join(lines) + "\n"
@@ -288,7 +286,7 @@ def _tables_machine(t: DamageThresholds) -> bytes:
             "catastrophic": t.catastrophic,
         },
     }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return canonical_json_bytes(doc)
 
 
 def cmd_tables(args) -> ExitStatus:
@@ -358,7 +356,7 @@ def _template_document() -> dict:
 
 
 def cmd_init(args) -> ExitStatus:
-    payload = (json.dumps(_template_document(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    payload = canonical_json_bytes(_template_document())
     try:
         with open(args.path, "xb") as f:
             f.write(payload)

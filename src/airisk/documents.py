@@ -1,7 +1,9 @@
 """Reading and writing assessment documents.
 
 The on-disk format is a single UTF-8 JSON document whose fields mirror the
-model types one for one; all enum values are lowercase strings.  Writing is
+model types one for one; all enum values are lowercase strings.  ``SCHEMA``
+lists every field of every type once, and decoding, writing and the
+machine report's round trip all follow it.  Writing is
 canonical: fixed key order, two-space indentation, a trailing newline, and
 no optional fields at their default values, so equal profiles always
 produce identical bytes.
@@ -82,6 +84,172 @@ class AssessmentDocumentError(Exception):
         super().__init__(summary)
 
 
+# -- the schema: each document type's fields in document order --
+#
+# An entry is (key, kind) for a required field or (key, kind, default) for
+# an optional one; keys are also the model's attribute names.  A kind is a
+# scalar decoder below, an enum, another document type, or [type] for an
+# array of that type.  The decoder, the canonical writer and the machine
+# report's round trip all read this table.
+
+_LEVEL = object()  # default of ``projected``: the dimension's current level
+
+
+class _Reject(Exception):
+    """Raised by a scalar decoder; the walk records it at the field's path."""
+
+    def __init__(self, message: str, kind: ErrorKind = ErrorKind.TYPE_MISMATCH):
+        self.message = message
+        self.kind = kind
+
+
+# Type tests compare exact classes: json.loads makes no subclasses, and
+# bool must not pass as int.
+
+def _str(value: Any) -> str:
+    if type(value) is not str:
+        raise _Reject("must be a string")
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _Reject("must not contain a lone surrogate") from None
+    return value
+
+
+def _int(value: Any) -> int:
+    if type(value) is not int:
+        raise _Reject("must be an integer")
+    return value
+
+
+def _bool(value: Any) -> bool:
+    if type(value) is not bool:
+        raise _Reject("must be true or false")
+    return value
+
+
+def _number(value: Any) -> int | float:
+    """A number kept as written: integers stay integers."""
+    if type(value) is int:
+        return value
+    if type(value) is not float:
+        raise _Reject("must be a number")
+    if not math.isfinite(value):
+        raise _Reject("must be a finite number")
+    return value
+
+
+def _float(value: Any) -> float:
+    try:
+        return float(_number(value))
+    except OverflowError:
+        raise _Reject("must be a finite number") from None
+
+
+def _version(value: Any) -> int:
+    version = _int(value)
+    if version == SCHEMA_VERSION:
+        return version
+    if version > SCHEMA_VERSION:
+        message = (
+            f"document version {version} is newer than this tool supports "
+            f"(expected schema_version {SCHEMA_VERSION})"
+        )
+    else:
+        message = f"unsupported schema_version {version} (expected {SCHEMA_VERSION})"
+    raise _Reject(message, ErrorKind.INVARIANT_VIOLATION)
+
+
+SCHEMA: dict[type, tuple[tuple, ...]] = {
+    HumanAttention: (
+        ("mode", AttentionMode),
+        ("checks_per_day", _int, None),
+        ("interval", AttentionInterval, None),
+    ),
+    InterventionIndicators: (
+        ("time_delay", TimeDelay),
+        ("observability", _int),
+        ("attention", HumanAttention),
+        ("correctability", _int),
+        ("can_take_offline", _bool),
+    ),
+    MaxDamage: (
+        ("monetary_usd", _number, None),
+        ("lives_at_risk", _int, None),
+        ("reputational", Reputational, None),
+        ("notes", _str, ""),
+    ),
+    Position: (("gap", _float), ("energy", _float)),
+    TargetAssessment: (
+        ("name", _str),
+        ("max_damage", MaxDamage),
+        ("coupling", _int),
+        ("interaction_complexity", _int),
+        ("energy_level", EnergyLevel),
+        ("knowledge_gap", KnowledgeGap),
+        ("position", Position, None),
+    ),
+    SafetyDimension: (("level", _int), ("projected", _int, _LEVEL)),
+    SafetyProfile: (
+        ("autonomy", SafetyDimension),
+        ("goal_complexity", SafetyDimension),
+        ("escape_potential", SafetyDimension),
+        ("anthropomorphization", SafetyDimension),
+    ),
+    AssessmentProfile: (
+        ("schema_version", _version),
+        ("name", _str),
+        ("ai_component", _str),
+        ("intervention", InterventionIndicators),
+        ("targets", [TargetAssessment]),
+        ("safety", SafetyProfile),
+    ),
+}
+
+
+def _enum_decoder(enum_cls: type[Enum]) -> Callable[[Any], Enum]:
+    members = {member.value: member for member in enum_cls}
+    choices = "must be one of: " + ", ".join(members)
+
+    def decode(value: Any) -> Enum:
+        if type(value) is not str:
+            raise _Reject("must be a string")
+        member = members.get(value)
+        if member is None:
+            raise _Reject(choices)
+        return member
+
+    return decode
+
+
+# How the decoder reads each field's value.  In the plans below, a default
+# of _MISSING marks a required field.
+_SCALAR, _OBJECT, _ARRAY = range(3)
+
+
+def _decode_plan(fields: tuple[tuple, ...]) -> tuple[frozenset, tuple]:
+    steps = []
+    for key, kind, *default in fields:
+        if isinstance(kind, list):
+            shape, kind = _ARRAY, kind[0]
+        elif kind in SCHEMA:
+            shape = _OBJECT
+        else:
+            shape = _SCALAR
+            if isinstance(kind, type):
+                kind = _enum_decoder(kind)
+        steps.append((key, shape, kind, default[0] if default else _MISSING))
+    return frozenset(key for key, *_ in fields) | {COMMENT_KEY}, tuple(steps)
+
+
+_DECODE_PLANS = {cls: _decode_plan(fields) for cls, fields in SCHEMA.items()}
+
+
+def _join(prefix: str, key: str) -> str:
+    return f"{prefix}.{key}" if prefix else key
+
+
 class _Decoder:
     """Accumulates errors and warnings while walking the document tree."""
 
@@ -93,238 +261,42 @@ class _Decoder:
     def error(self, kind: ErrorKind, path: str, message: str) -> None:
         self.errors.append(DocumentError(kind, path, message))
 
-    def scan_keys(self, obj: dict, prefix: str, allowed: set[str]) -> None:
-        for key in obj:
-            if key == COMMENT_KEY or key in allowed:
-                continue
-            path = f"{prefix}.{key}" if prefix else str(key)
-            err = DocumentError(ErrorKind.UNKNOWN_FIELD, path, "unknown field")
-            (self.errors if self.strict else self.warnings).append(err)
-
-    # -- field decoders; every None return records an error first --
-
-    def _fetch(self, obj: dict, key: str, path: str, required: bool) -> Any:
-        value = obj.get(key, _MISSING)
-        if value is _MISSING and required:
-            self.error(ErrorKind.MISSING_FIELD, path, "required field is missing")
-        return value
-
-    def decode_str(self, obj: dict, key: str, path: str, required: bool = True) -> str | None:
-        value = self._fetch(obj, key, path, required)
-        if value is _MISSING:
-            return None
-        if not isinstance(value, str):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be a string")
-            return None
-        return value
-
-    def decode_int(self, obj: dict, key: str, path: str, required: bool = True) -> int | None:
-        value = self._fetch(obj, key, path, required)
-        if value is _MISSING:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be an integer")
-            return None
-        return value
-
-    def decode_number(self, obj: dict, key: str, path: str, required: bool = True) -> float | None:
-        value = self._fetch(obj, key, path, required)
-        if value is _MISSING:
-            return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be a number")
-            return None
-        if not math.isfinite(value):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be a finite number")
-            return None
-        return value
-
-    def decode_bool(self, obj: dict, key: str, path: str) -> bool | None:
-        value = self._fetch(obj, key, path, required=True)
-        if value is _MISSING:
-            return None
-        if not isinstance(value, bool):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be true or false")
-            return None
-        return value
-
-    def decode_enum(self, obj: dict, key: str, path: str, enum_cls, required: bool = True):
-        value = self.decode_str(obj, key, path, required)
-        if value is None:
-            return None
-        try:
-            return enum_cls(value)
-        except ValueError:
-            allowed = ", ".join(v.value for v in enum_cls)
-            self.error(ErrorKind.TYPE_MISMATCH, path, f"must be one of: {allowed}")
-            return None
-
-    def decode_object(self, obj: dict, key: str, path: str, decode: Callable) -> Any:
-        value = self._fetch(obj, key, path, required=True)
-        if value is _MISSING:
-            return None
-        return decode(value, path)
-
-    # -- structure decoders --
-
-    def decode_attention(self, obj: Any, path: str) -> HumanAttention | None:
+    def decode(self, cls: type, obj: Any, path: str) -> Any:
+        """The ``cls`` that ``obj`` describes, or None after recording why not."""
         if not isinstance(obj, dict):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be an object")
+            message = "must be an object" if path else "document must be a JSON object"
+            self.error(ErrorKind.TYPE_MISMATCH, path or "$", message)
             return None
-        self.scan_keys(obj, path, {"mode", "checks_per_day", "interval"})
-        mode = self.decode_enum(obj, "mode", f"{path}.mode", AttentionMode)
-        checks = self.decode_int(obj, "checks_per_day", f"{path}.checks_per_day", required=False)
-        interval = self.decode_enum(obj, "interval", f"{path}.interval", AttentionInterval, required=False)
-        if mode is None:
-            return None
-        return HumanAttention(mode=mode, checks_per_day=checks, interval=interval)
-
-    def decode_intervention(self, obj: Any, path: str) -> InterventionIndicators | None:
-        if not isinstance(obj, dict):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be an object")
-            return None
-        keys = {"time_delay", "observability", "attention", "correctability", "can_take_offline"}
-        self.scan_keys(obj, path, keys)
-        time_delay = self.decode_enum(obj, "time_delay", f"{path}.time_delay", TimeDelay)
-        observability = self.decode_int(obj, "observability", f"{path}.observability")
-        attention = self.decode_object(obj, "attention", f"{path}.attention", self.decode_attention)
-        correctability = self.decode_int(obj, "correctability", f"{path}.correctability")
-        offline = self.decode_bool(obj, "can_take_offline", f"{path}.can_take_offline")
-        if None in (time_delay, observability, attention, correctability, offline):
-            return None
-        return InterventionIndicators(
-            time_delay=time_delay,
-            observability=observability,
-            attention=attention,
-            correctability=correctability,
-            can_take_offline=offline,
-        )
-
-    def decode_max_damage(self, obj: Any, path: str) -> MaxDamage | None:
-        if not isinstance(obj, dict):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be an object")
-            return None
-        self.scan_keys(obj, path, {"monetary_usd", "lives_at_risk", "reputational", "notes"})
-        monetary = self.decode_number(obj, "monetary_usd", f"{path}.monetary_usd", required=False)
-        lives = self.decode_int(obj, "lives_at_risk", f"{path}.lives_at_risk", required=False)
-        reputational = self.decode_enum(obj, "reputational", f"{path}.reputational", Reputational, required=False)
-        notes = self.decode_str(obj, "notes", f"{path}.notes", required=False)
-        return MaxDamage(
-            monetary_usd=monetary,
-            lives_at_risk=lives,
-            reputational=reputational,
-            notes=notes if notes is not None else "",
-        )
-
-    def decode_position(self, obj: Any, path: str) -> Position | None:
-        if not isinstance(obj, dict):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be an object")
-            return None
-        self.scan_keys(obj, path, {"gap", "energy"})
-        gap = self.decode_number(obj, "gap", f"{path}.gap")
-        energy = self.decode_number(obj, "energy", f"{path}.energy")
-        if gap is None or energy is None:
-            return None
-        return Position(gap=float(gap), energy=float(energy))
-
-    def decode_target(self, obj: Any, path: str) -> TargetAssessment | None:
-        if not isinstance(obj, dict):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be an object")
-            return None
-        keys = {
-            "name",
-            "max_damage",
-            "coupling",
-            "interaction_complexity",
-            "energy_level",
-            "knowledge_gap",
-            "position",
-        }
-        self.scan_keys(obj, path, keys)
-        name = self.decode_str(obj, "name", f"{path}.name")
-        max_damage = self.decode_object(obj, "max_damage", f"{path}.max_damage", self.decode_max_damage)
-        coupling = self.decode_int(obj, "coupling", f"{path}.coupling")
-        interaction = self.decode_int(obj, "interaction_complexity", f"{path}.interaction_complexity")
-        energy = self.decode_enum(obj, "energy_level", f"{path}.energy_level", EnergyLevel)
-        gap = self.decode_enum(obj, "knowledge_gap", f"{path}.knowledge_gap", KnowledgeGap)
-        position = None
-        if obj.get("position", _MISSING) is not _MISSING:
-            position = self.decode_position(obj["position"], f"{path}.position")
-        if None in (name, max_damage, coupling, interaction, energy, gap):
-            return None
-        return TargetAssessment(
-            name=name,
-            max_damage=max_damage,
-            coupling=coupling,
-            interaction_complexity=interaction,
-            energy_level=energy,
-            knowledge_gap=gap,
-            position=position,
-        )
-
-    def decode_dimension(self, obj: Any, path: str) -> SafetyDimension | None:
-        if not isinstance(obj, dict):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be an object")
-            return None
-        self.scan_keys(obj, path, {"level", "projected"})
-        level = self.decode_int(obj, "level", f"{path}.level")
-        projected = self.decode_int(obj, "projected", f"{path}.projected", required=False)
-        if level is None:
-            return None
-        return SafetyDimension(level=level, projected=projected)
-
-    def decode_safety(self, obj: Any, path: str) -> SafetyProfile | None:
-        if not isinstance(obj, dict):
-            self.error(ErrorKind.TYPE_MISMATCH, path, "must be an object")
-            return None
-        names = ("autonomy", "goal_complexity", "escape_potential", "anthropomorphization")
-        self.scan_keys(obj, path, set(names))
-        dims = {name: self.decode_object(obj, name, f"{path}.{name}", self.decode_dimension) for name in names}
-        if any(d is None for d in dims.values()):
-            return None
-        return SafetyProfile(**dims)
-
-    def decode_profile(self, obj: Any) -> AssessmentProfile | None:
-        if not isinstance(obj, dict):
-            self.error(ErrorKind.TYPE_MISMATCH, "$", "document must be a JSON object")
-            return None
-        keys = {"schema_version", "name", "ai_component", "intervention", "targets", "safety"}
-        self.scan_keys(obj, "", keys)
-        version = self.decode_int(obj, "schema_version", "schema_version")
-        if version is not None and version != SCHEMA_VERSION:
-            if version > SCHEMA_VERSION:
-                message = (
-                    f"document version {version} is newer than this tool supports "
-                    f"(expected schema_version {SCHEMA_VERSION})"
-                )
+        allowed, steps = _DECODE_PLANS[cls]
+        if not obj.keys() <= allowed:
+            unknown = self.errors if self.strict else self.warnings
+            for key in obj:
+                if key not in allowed:
+                    unknown.append(DocumentError(ErrorKind.UNKNOWN_FIELD, _join(path, key), "unknown field"))
+        errors_before = len(self.errors)
+        values = {}
+        for key, shape, kind, default in steps:
+            value = obj.get(key, _MISSING)
+            if value is _MISSING:
+                if default is _MISSING:
+                    self.error(ErrorKind.MISSING_FIELD, _join(path, key), "required field is missing")
+                elif default is not _LEVEL:  # SafetyDimension copies the level itself
+                    values[key] = default
+            elif shape == _SCALAR:
+                try:
+                    values[key] = kind(value)
+                except _Reject as e:
+                    self.error(e.kind, _join(path, key), e.message)
+            elif shape == _OBJECT:
+                values[key] = self.decode(kind, value, _join(path, key))
+            elif type(value) is list:
+                prefix = _join(path, key)
+                values[key] = tuple([self.decode(kind, el, f"{prefix}[{i}]") for i, el in enumerate(value)])
             else:
-                message = f"unsupported schema_version {version} (expected {SCHEMA_VERSION})"
-            self.error(ErrorKind.INVARIANT_VIOLATION, "schema_version", message)
-        name = self.decode_str(obj, "name", "name")
-        ai_component = self.decode_str(obj, "ai_component", "ai_component")
-        intervention = self.decode_object(obj, "intervention", "intervention", self.decode_intervention)
-        targets = self.decode_targets(obj)
-        safety = self.decode_object(obj, "safety", "safety", self.decode_safety)
-        if self.errors:
+                self.error(ErrorKind.TYPE_MISMATCH, _join(path, key), "must be an array")
+        if len(self.errors) != errors_before:
             return None
-        return AssessmentProfile(
-            name=name,
-            ai_component=ai_component,
-            intervention=intervention,
-            targets=targets,
-            safety=safety,
-            schema_version=version,
-        )
-
-    def decode_targets(self, obj: dict) -> tuple[TargetAssessment, ...]:
-        value = self._fetch(obj, "targets", "targets", required=True)
-        if value is _MISSING:
-            return ()
-        if not isinstance(value, list):
-            self.error(ErrorKind.TYPE_MISMATCH, "targets", "must be an array")
-            return ()
-        decoded = [self.decode_target(el, f"targets[{i}]") for i, el in enumerate(value)]
-        return tuple(t for t in decoded if t is not None)
+        return cls(**values)
 
 
 def _load_json(data: bytes | str, dec: _Decoder) -> Any:
@@ -340,10 +312,11 @@ def _load_json(data: bytes | str, dec: _Decoder) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         dec.errors.append(DocumentError(ErrorKind.SYNTAX, "", e.msg, e.lineno))
-        return None
+    except ValueError:  # an integer literal longer than int_max_str_digits
+        dec.error(ErrorKind.SYNTAX, "", "a number has too many digits")
     except RecursionError:
         dec.error(ErrorKind.SYNTAX, "", "document nesting is too deep")
-        return None
+    return None
 
 
 def parse_assessment(
@@ -371,9 +344,7 @@ def parse_assessment(
     """
     dec = _Decoder(strict)
     obj = _load_json(data, dec)
-    profile = None
-    if not dec.errors:
-        profile = dec.decode_profile(obj)
+    profile = None if dec.errors else dec.decode(AssessmentProfile, obj, "")
     if dec.errors:
         raise AssessmentDocumentError(dec.errors)
     if warnings is not None:
@@ -426,13 +397,62 @@ def _dump(obj: Any, newline: str) -> str:
                 raise _NotCanonical
             items.append(_encode_str(key) + ": " + _dump(value, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(obj) in _WRITE_PLANS:
+        return _write_document(obj, newline)
     raise _NotCanonical
+
+
+def _is_default(obj: Any, value: Any, default: Any) -> bool:
+    return value == (obj.level if default is _LEVEL else default)
+
+
+def _write_document(obj: Any, newline: str) -> str:
+    # Optional fields are left out at their default, and ``projected``
+    # when it equals ``level``.
+    inner = newline + "  "
+    items = []
+    for key_text, key, default, write in _WRITE_PLANS[type(obj)]:
+        value = getattr(obj, key)
+        if default is _MISSING or not _is_default(obj, value, default):
+            items.append(key_text + write(value, inner))
+    if not items:
+        return "{}"
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
+
+
+# Per document type: (encoded key, attribute, default, writer) in document order.
+_WRITE_PLANS = {
+    cls: tuple(
+        (
+            _encode_str(key) + ": ",
+            key,
+            default[0] if default else _MISSING,
+            _write_document if isinstance(kind, type) and kind in SCHEMA else _dump,
+        )
+        for key, kind, *default in fields
+    )
+    for cls, fields in SCHEMA.items()
+}
+
+
+def _document_object(obj: Any) -> dict:
+    # json.dumps hook, so the fallback below raises what json.dumps would
+    # raise for the document's own object form.
+    if type(obj) not in _WRITE_PLANS:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    out = {}
+    for _, key, default, _ in _WRITE_PLANS[type(obj)]:
+        value = getattr(obj, key)
+        if default is _MISSING or not _is_default(obj, value, default):
+            out[key] = value
+    return out
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
     """Serialize any JSON-ready structure in the canonical document style.
 
-    The bytes are identical to
+    Document types (a profile and each of its parts) are written as their
+    document objects.  The bytes are identical to
     ``(json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n")``
     encoded as UTF-8, errors included: NaN and infinities raise ValueError,
     and a lone surrogate raises UnicodeEncodeError.  Strings, numbers and
@@ -444,96 +464,19 @@ def canonical_json_bytes(obj: Any) -> bytes:
     try:
         text = _dump(obj, "\n")
     except (_NotCanonical, RecursionError):
-        text = json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
+        text = json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False, default=_document_object)
     return (text + "\n").encode("utf-8")
-
-
-def attention_to_obj(att: HumanAttention) -> dict:
-    out: dict[str, Any] = {"mode": att.mode.value}
-    if att.checks_per_day is not None:
-        out["checks_per_day"] = att.checks_per_day
-    if att.interval is not None:
-        out["interval"] = att.interval.value
-    return out
-
-
-def intervention_to_obj(ind: InterventionIndicators) -> dict:
-    return {
-        "time_delay": ind.time_delay.value,
-        "observability": ind.observability,
-        "attention": attention_to_obj(ind.attention),
-        "correctability": ind.correctability,
-        "can_take_offline": ind.can_take_offline,
-    }
-
-
-def max_damage_to_obj(d: MaxDamage) -> dict:
-    out: dict[str, Any] = {}
-    if d.monetary_usd is not None:
-        out["monetary_usd"] = d.monetary_usd
-    if d.lives_at_risk is not None:
-        out["lives_at_risk"] = d.lives_at_risk
-    if d.reputational is not None:
-        out["reputational"] = d.reputational.value
-    if d.notes:
-        out["notes"] = d.notes
-    return out
-
-
-def target_to_obj(target: TargetAssessment) -> dict:
-    out: dict[str, Any] = {
-        "name": target.name,
-        "max_damage": max_damage_to_obj(target.max_damage),
-        "coupling": target.coupling,
-        "interaction_complexity": target.interaction_complexity,
-        "energy_level": target.energy_level.value,
-        "knowledge_gap": target.knowledge_gap.value,
-    }
-    if target.position is not None:
-        out["position"] = {"gap": target.position.gap, "energy": target.position.energy}
-    return out
-
-
-def dimension_to_obj(dim: SafetyDimension) -> dict:
-    out: dict[str, Any] = {"level": dim.level}
-    if dim.projected != dim.level:
-        out["projected"] = dim.projected
-    return out
-
-
-def safety_to_obj(safety: SafetyProfile) -> dict:
-    return {name: dimension_to_obj(dim) for name, dim in safety.dimensions()}
-
-
-def profile_to_obj(profile: AssessmentProfile) -> dict:
-    return {
-        "schema_version": profile.schema_version,
-        "name": profile.name,
-        "ai_component": profile.ai_component,
-        "intervention": intervention_to_obj(profile.intervention),
-        "targets": [target_to_obj(t) for t in profile.targets],
-        "safety": safety_to_obj(profile.safety),
-    }
 
 
 def serialize_assessment(profile: AssessmentProfile) -> bytes:
     """Write a valid profile as canonical document bytes."""
-    return canonical_json_bytes(profile_to_obj(profile))
+    return canonical_json_bytes(profile)
 
 
-def intervention_from_obj(obj: Any) -> InterventionIndicators:
-    """Strictly rebuild indicators from their object form; raises ValueError."""
+def from_obj(cls: type, obj: Any, path: str) -> Any:
+    """Strictly rebuild one document type from its object form; raises ValueError."""
     dec = _Decoder(strict=True)
-    result = dec.decode_intervention(obj, "intervention")
-    if dec.errors:
-        raise ValueError(format_document_error(dec.errors[0]))
-    return result
-
-
-def safety_from_obj(obj: Any) -> SafetyProfile:
-    """Strictly rebuild a safety profile from its object form; raises ValueError."""
-    dec = _Decoder(strict=True)
-    result = dec.decode_safety(obj, "safety")
+    result = dec.decode(cls, obj, path)
     if dec.errors:
         raise ValueError(format_document_error(dec.errors[0]))
     return result

@@ -274,9 +274,8 @@ def validate_profile(profile: AssessmentProfile) -> list[Violation]:
     for name, dim in profile.safety.dimensions():
         prefix = f"safety.{name}"
         _check_range(out, f"{prefix}.level", dim.level, 0, 3)
-        projected = dim.projected if dim.projected is not None else dim.level
-        _check_range(out, f"{prefix}.projected", projected, 0, 3)
-        if dim.level > projected:
+        _check_range(out, f"{prefix}.projected", dim.projected, 0, 3)
+        if dim.level > dim.projected:
             out.append(Violation(f"{prefix}.projected", f"must be at least the current level {dim.level}"))
     return out
 

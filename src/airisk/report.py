@@ -15,13 +15,7 @@ from enum import Enum
 from typing import Any
 
 from . import rules as _rules
-from .documents import (
-    canonical_json_bytes,
-    intervention_from_obj,
-    intervention_to_obj,
-    safety_from_obj,
-    safety_to_obj,
-)
+from .documents import canonical_json_bytes, from_obj
 from .model import (
     TIME_DELAY_RANK,
     ATTENTION_RANK,
@@ -407,9 +401,9 @@ def _render_machine(report: RiskReport) -> bytes:
     doc = {
         "schema_version": 1,
         "profile_name": report.profile_name,
-        "intervention": intervention_to_obj(report.intervention),
+        "intervention": report.intervention,
         "targets": [_target_result_to_obj(r) for r in report.target_results],
-        "safety": safety_to_obj(report.safety),
+        "safety": report.safety,
         "findings": [_finding_to_obj(f) for f in report.rule_findings.findings],
         "calibration": _calibration_to_obj(report.calibration),
     }
@@ -474,9 +468,9 @@ def parse_machine_report(data: bytes | str) -> RiskReport:
         )
         return RiskReport(
             profile_name=doc["profile_name"],
-            intervention=intervention_from_obj(doc["intervention"]),
+            intervention=from_obj(InterventionIndicators, doc["intervention"], "intervention"),
             target_results=targets,
-            safety=safety_from_obj(doc["safety"]),
+            safety=from_obj(SafetyProfile, doc["safety"], "safety"),
             rule_findings=RuleReport(findings),
             calibration=calibration,
         )

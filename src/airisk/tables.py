@@ -14,6 +14,7 @@ cutoffs are calibration constants, not lookups, and can be overridden.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -148,6 +149,9 @@ class DamageThresholds:
     def __post_init__(self) -> None:
         if not self.minor <= self.major <= self.severe <= self.catastrophic:
             raise ValueError("damage thresholds must be non-decreasing")
+        # Once ordered, the outer two bound all four.
+        if not (-math.inf < self.minor and self.catastrophic < math.inf):
+            raise ValueError("damage thresholds must be finite amounts")
 
 
 DEFAULT_DAMAGE_THRESHOLDS = DamageThresholds()

@@ -73,6 +73,27 @@ def test_corrupt_documents_exit_two(tmp_path):
         assert b"line 1" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "old, new, status",
+    [
+        ('"observability": 3', '"observability": 1' + "0" * 4300, 2),
+        ('"coupling": 3,', '"coupling": 3, "position": {"gap": 1' + "0" * 399 + ', "energy": 0.5},', 2),
+        ('"name": "Roomba"', '"name": "\\ud800"', 2),
+        ('"monetary_usd": 200', '"monetary_usd": 1' + "0" * 399, 0),
+    ],
+    ids=["long-integer", "overflowing-position", "lone-surrogate", "huge-amount"],
+)
+def test_oversized_numbers_and_lone_surrogates_fail_cleanly(tmp_path, old, new, status):
+    text = (FIXTURES / "roomba.json").read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "edge.json"
+    path.write_text(text.replace(old, new, 1), encoding="ascii")
+    for command in ("validate", "assess"):
+        result = run_cli(command, str(path))
+        assert result.returncode == status, result.stderr
+        assert b"Traceback" not in result.stderr
+
+
 def test_missing_paths_exit_three(tmp_path):
     result = run_cli("assess", str(tmp_path / "nope.json"))
     assert result.returncode == 3
@@ -94,6 +115,20 @@ def test_bad_threshold_argument_is_a_usage_error():
     result = run_cli("assess", str(FIXTURES / "roomba.json"), "--damage-thresholds", "9,2,3,4")
     assert result.returncode == 4
     assert b"non-decreasing" in result.stderr
+
+
+@pytest.mark.parametrize("amount", ["inf", "1e400"])
+def test_non_finite_thresholds_are_usage_errors(amount):
+    thresholds = f"100,1e5,1e7,{amount}"
+    for args in (
+        ("assess", str(FIXTURES / "roomba.json"), "--format", "machine"),
+        ("tables", "--format", "machine"),
+        ("tables",),
+    ):
+        result = run_cli(*args, "--damage-thresholds", thresholds)
+        assert result.returncode == 4, args
+        assert result.stdout == b""
+        assert b"Traceback" not in result.stderr
 
 
 def test_threshold_override_changes_the_report():

@@ -1,5 +1,6 @@
 """Document decoding, error accumulation, and canonical serialization."""
 
+import dataclasses
 import json
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from airisk import (
     AssessmentDocumentError,
     ErrorKind,
+    MaxDamage,
     RuleId,
     build_report,
     parse_assessment,
@@ -15,7 +17,7 @@ from airisk import (
     serialize_assessment,
     validate_profile,
 )
-from airisk.documents import canonical_json_bytes, format_document_error, profile_to_obj
+from airisk.documents import canonical_json_bytes, format_document_error
 
 from conftest import FIXTURES
 from genprofiles import random_profile
@@ -213,6 +215,44 @@ def test_canonical_output_shape(roomba):
     assert '"position"' not in text
 
 
+def test_integer_literal_over_the_digit_limit_is_a_syntax_error(roomba_doc):
+    text = dump(roomba_doc).replace('"observability": 3', '"observability": 1' + "0" * 4300, 1)
+    (err,) = parse_errors(text)
+    assert (err.kind, err.path, err.message) == (ErrorKind.SYNTAX, "", "a number has too many digits")
+
+
+def test_huge_integer_amounts_are_kept_exactly(roomba_doc):
+    roomba_doc["targets"][0]["max_damage"] = {"monetary_usd": 10**399, "lives_at_risk": 10**399}
+    profile = parse_assessment(dump(roomba_doc))
+    assert profile.targets[0].max_damage.monetary_usd == 10**399
+    assert parse_assessment(serialize_assessment(profile)) == profile
+    for fmt in ("text", "markdown", "machine"):
+        render_report(build_report(profile), fmt)
+
+
+@pytest.mark.parametrize("axis", ["gap", "energy"])
+def test_position_overflowing_a_float_is_not_finite(roomba_doc, axis):
+    roomba_doc["targets"][1]["position"] = {"gap": 0.5, "energy": 0.5, axis: 10**399}
+    errors = [(e.kind, e.path, e.message) for e in parse_errors(dump(roomba_doc))]
+    assert errors == [(ErrorKind.TYPE_MISMATCH, f"targets[1].position.{axis}", "must be a finite number")]
+
+
+@pytest.mark.parametrize(
+    "path", ["name", "ai_component", "targets[0].name", "targets[1].max_damage.notes"]
+)
+def test_lone_surrogates_are_rejected_where_they_would_be_written(roomba_doc, path):
+    node, key = locate(roomba_doc, path)
+    node[key] = "ok \ud800 not"
+    data = json.dumps(roomba_doc).encode("ascii")
+    for validate in (True, False):
+        errors = [(e.kind, e.path, e.message) for e in parse_errors(data, validate=validate)]
+        assert errors == [(ErrorKind.TYPE_MISMATCH, path, "must not contain a lone surrogate")]
+    # Paired surrogates are one ordinary character.
+    node[key] = "ok \U0001f600"
+    written = serialize_assessment(parse_assessment(json.dumps(roomba_doc).encode("ascii")))
+    assert "ok \U0001f600" in written.decode("utf-8")
+
+
 def test_deeply_nested_input_does_not_crash():
     errors = parse_errors(b"[" * 200_000)
     assert errors[0].kind is ErrorKind.SYNTAX
@@ -224,7 +264,11 @@ def json_dumps_bytes(obj) -> bytes:
 
 def test_canonical_bytes_equal_json_dumps(roomba, hal9000, tay):
     rng = random.Random(505)
-    objs = [profile_to_obj(random_profile(rng)) for _ in range(300)]
+    objs = []
+    for _ in range(300):
+        written = serialize_assessment(random_profile(rng))
+        objs.append(json.loads(written))
+        assert written == json_dumps_bytes(objs[-1])
     objs += [json.loads(render_report(build_report(p), "machine")) for p in (roomba, hal9000, tay)]
     objs.append(
         {
@@ -247,6 +291,148 @@ def test_canonical_bytes_refuse_non_finite_numbers(bad):
         canonical_json_bytes({"x": [bad]})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_serializing_a_non_finite_amount_raises_value_error(roomba, bad):
+    # validate_profile lets an infinite amount through; the writer must not.
+    target = dataclasses.replace(roomba.targets[0], max_damage=MaxDamage(monetary_usd=bad))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        serialize_assessment(dataclasses.replace(roomba, targets=(target,)))
+
+
 def test_canonical_bytes_refuse_lone_surrogates():
     with pytest.raises(UnicodeEncodeError):
         canonical_json_bytes({"name": "\ud800"})
+
+
+# -- every field's diagnostics, pinned one field at a time --
+
+_TIME_DELAYS = "milliseconds, seconds, minutes, hours, days, weeks, months"
+_INTERVALS = "minutes, hours, days, weeks, months"
+_LEVELS = "low, medium, high"
+
+# (path, kind, required); an enum's kind is its "must be one of" message.
+DOCUMENT_FIELDS = [
+    ("schema_version", "int", True),
+    ("name", "str", True),
+    ("ai_component", "str", True),
+    ("intervention", "object", True),
+    ("intervention.time_delay", f"must be one of: {_TIME_DELAYS}", True),
+    ("intervention.observability", "int", True),
+    ("intervention.attention", "object", True),
+    ("intervention.attention.mode", "must be one of: periodic, intermittent", True),
+    ("intervention.attention.checks_per_day", "int", False),
+    ("intervention.attention.interval", f"must be one of: {_INTERVALS}", False),
+    ("intervention.correctability", "int", True),
+    ("intervention.can_take_offline", "bool", True),
+    ("targets", "array", True),
+    ("targets[0]", "object", True),
+    ("targets[0].name", "str", True),
+    ("targets[0].max_damage", "object", True),
+    ("targets[0].max_damage.monetary_usd", "number", False),
+    ("targets[0].max_damage.lives_at_risk", "int", False),
+    ("targets[0].max_damage.reputational", "must be one of: none, minor, major", False),
+    ("targets[0].max_damage.notes", "str", False),
+    ("targets[0].coupling", "int", True),
+    ("targets[0].interaction_complexity", "int", True),
+    ("targets[0].energy_level", f"must be one of: {_LEVELS}", True),
+    ("targets[0].knowledge_gap", f"must be one of: {_LEVELS}", True),
+    ("targets[0].position", "object", False),
+    ("targets[0].position.gap", "number", True),
+    ("targets[0].position.energy", "number", True),
+    ("targets[1]", "object", True),
+    ("targets[1].name", "str", True),
+    ("targets[1].max_damage.monetary_usd", "number", False),
+    ("safety", "object", True),
+] + [
+    (f"safety.{dim}{leaf}", kind, required)
+    for dim in ("autonomy", "goal_complexity", "escape_potential", "anthropomorphization")
+    for leaf, kind, required in (("", "object", True), (".level", "int", True), (".projected", "int", False))
+]
+
+# Wrong-typed values for each kind, with the message each one earns.
+WRONG_VALUES = {
+    "int": [("3", "must be an integer"), (3.0, "must be an integer"), (True, "must be an integer"),
+            (None, "must be an integer"), ([3], "must be an integer")],
+    "str": [(3, "must be a string"), (None, "must be a string"), (False, "must be a string"),
+            (["x"], "must be a string")],
+    "bool": [(1, "must be true or false"), ("true", "must be true or false"), (None, "must be true or false")],
+    "number": [("1", "must be a number"), (True, "must be a number"), (None, "must be a number"),
+               ({}, "must be a number"), (float("nan"), "must be a finite number"),
+               (float("-inf"), "must be a finite number")],
+    "object": [(3, "must be an object"), ("x", "must be an object"), ([], "must be an object"),
+               (None, "must be an object"), (True, "must be an object")],
+    "array": [({}, "must be an array"), ("x", "must be an array"), (None, "must be an array"), (3, "must be an array")],
+}
+
+
+def every_field_document(roomba_doc) -> dict:
+    """Roomba with every optional field present, so each one can be broken."""
+    doc = roomba_doc
+    doc["intervention"]["attention"]["checks_per_day"] = 2
+    doc["targets"][0]["max_damage"].update(lives_at_risk=0, reputational="minor", notes="adversary")
+    doc["targets"][0]["position"] = {"gap": 0.25, "energy": 0.75}
+    for dim in doc["safety"].values():
+        dim["projected"] = 1
+    return doc
+
+
+def locate(doc, path: str):
+    """The container and key that a path such as targets[0].position.gap names."""
+    keys: list = []
+    for part in path.split("."):
+        name, _, index = part.partition("[")
+        keys.append(name)
+        if index:
+            keys.append(int(index[:-1]))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    return node, keys[-1]
+
+
+def diagnostics(doc, **kwargs) -> list[tuple]:
+    return [(e.kind, e.path, e.message) for e in parse_errors(json.dumps(doc), **kwargs)]
+
+
+def test_every_field_reports_its_own_type_mismatch(roomba_doc):
+    base = json.dumps(every_field_document(roomba_doc))
+    for path, kind, _ in DOCUMENT_FIELDS:
+        wrong = WRONG_VALUES.get(kind) or [(3, "must be a string"), (None, "must be a string"), ("bogus", kind)]
+        for value, message in wrong:
+            doc = json.loads(base)
+            node, key = locate(doc, path)
+            node[key] = value
+            assert diagnostics(doc) == [(ErrorKind.TYPE_MISMATCH, path, message)], (path, value)
+
+
+def test_every_required_field_reports_itself_missing(roomba_doc):
+    base = json.dumps(every_field_document(roomba_doc))
+    for path, _, required in DOCUMENT_FIELDS:
+        if not required or path.endswith("]"):
+            continue
+        doc = json.loads(base)
+        node, key = locate(doc, path)
+        del node[key]
+        assert diagnostics(doc) == [(ErrorKind.MISSING_FIELD, path, "required field is missing")], path
+
+
+def test_diagnostics_come_in_document_order(roomba_doc):
+    doc = every_field_document(roomba_doc)
+    doc["zz_extra"] = 1
+    expected = [(ErrorKind.UNKNOWN_FIELD, "zz_extra", "unknown field")]
+    # DOCUMENT_FIELDS lists each object before its own fields, so an
+    # object's unknown keys come before its fields' errors.
+    for path, kind, _ in DOCUMENT_FIELDS:
+        node, key = locate(doc, path)
+        if kind == "object":
+            node[key]["zz_extra"] = 1
+            expected.append((ErrorKind.UNKNOWN_FIELD, f"{path}.zz_extra", "unknown field"))
+        elif kind != "array":
+            value, message = WRONG_VALUES.get(kind, [(0, "must be a string")])[0]
+            node[key] = value
+            expected.append((ErrorKind.TYPE_MISMATCH, path, message))
+    assert diagnostics(doc, strict=True) == expected
+    warnings = []
+    errors = parse_errors(json.dumps(doc), warnings=warnings)
+    assert [(e.kind, e.path, e.message) for e in errors] == [e for e in expected if e[0] is ErrorKind.TYPE_MISMATCH]
+    assert warnings == []
