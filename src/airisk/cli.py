@@ -26,16 +26,20 @@ from .documents import (
     parse_assessment,
 )
 from .model import (
+    SCHEMA_VERSION,
+    AttentionInterval,
     CouplingCategory,
     EnergyLevel,
     InteractionCategory,
     InvalidProfileError,
     KnowledgeGap,
+    Reputational,
+    TimeDelay,
     Violation,
     validate_profile,
 )
-from .report import ReportFormat, _md_table, build_report, format_usd, render_report
-from .rules import MEASURE_LABELS, RULES
+from .report import ReportFormat, _md_table, _measures_text, build_report, format_usd, render_report
+from .rules import RULES
 from .tables import (
     DEFAULT_DAMAGE_THRESHOLDS,
     DamageThresholds,
@@ -155,7 +159,7 @@ def cmd_assess(args) -> ExitStatus:
 def _rules_text() -> str:
     blocks = []
     for rule in RULES:
-        measures = "; ".join(MEASURE_LABELS[m] for m in rule.measures)
+        measures = _measures_text(rule.measures)
         blocks.append(
             f"{rule.id.value}  {rule.text}\n    when: {rule.condition}\n    measures: {measures}"
         )
@@ -165,7 +169,6 @@ def _rules_text() -> str:
 def _rules_markdown() -> str:
     lines = ["# Recommendation Rules"]
     for rule in RULES:
-        measures = "; ".join(MEASURE_LABELS[m] for m in rule.measures)
         lines += [
             "",
             f"## {rule.id.value}",
@@ -173,30 +176,14 @@ def _rules_markdown() -> str:
             rule.text,
             "",
             f"- When: {rule.condition}",
-            f"- Measures: {measures}",
+            f"- Measures: {_measures_text(rule.measures)}",
         ]
     return "\n".join(lines) + "\n"
 
 
-def _rules_machine() -> bytes:
-    doc = {
-        "schema_version": 1,
-        "rules": [
-            {
-                "id": rule.id.value,
-                "text": rule.text,
-                "condition": rule.condition,
-                "measures": [m.value for m in rule.measures],
-            }
-            for rule in RULES
-        ],
-    }
-    return canonical_json_bytes(doc)
-
-
 def cmd_rules(args) -> ExitStatus:
     if args.format == ReportFormat.MACHINE.value:
-        payload = _rules_machine()
+        payload = canonical_json_bytes({"schema_version": SCHEMA_VERSION, "rules": RULES})
     elif args.format == ReportFormat.MARKDOWN.value:
         payload = _rules_markdown().encode("utf-8")
     else:
@@ -266,25 +253,14 @@ def _tables_machine(t: DamageThresholds) -> bytes:
         for coupling in reversed(list(CouplingCategory))
     }
     damage = {
-        energy.value: {
-            gap.value: {
-                "damage": damage_and_party(energy, gap).damage.value,
-                "party_degree": damage_and_party(energy, gap).party_degree,
-            }
-            for gap in KnowledgeGap
-        }
+        energy.value: {gap.value: damage_and_party(energy, gap) for gap in KnowledgeGap}
         for energy in reversed(list(EnergyLevel))
     }
     doc = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "accident_risk": accident,
         "damage_party": damage,
-        "damage_thresholds": {
-            "minor": t.minor,
-            "major": t.major,
-            "severe": t.severe,
-            "catastrophic": t.catastrophic,
-        },
+        "damage_thresholds": t,
     }
     return canonical_json_bytes(doc)
 
@@ -300,15 +276,20 @@ def cmd_tables(args) -> ExitStatus:
     return _emit(payload, args.out)
 
 
+def _choices(*enums: type[enum.Enum]) -> str:
+    """The enums' values as "a|b|c", each value once, for the template's notes."""
+    return "|".join(dict.fromkeys(member.value for e in enums for member in e))
+
+
 def _template_document() -> dict:
     return {
         "//": _TEMPLATE_NOTE,
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "name": "Example system",
         "ai_component": "Describe the AI component under assessment",
         "intervention": {
             "//": (
-                "time_delay: milliseconds|seconds|minutes|hours|days|weeks|months; "
+                f"time_delay: {_choices(TimeDelay)}; "
                 "observability and correctability run 0 (black box / impossible to correct) to 5"
             ),
             "time_delay": "months",
@@ -316,7 +297,7 @@ def _template_document() -> dict:
             "attention": {
                 "//": (
                     "mode periodic needs checks_per_day (integer, at least 1); "
-                    "mode intermittent needs interval (minutes|hours|days|weeks|months)"
+                    f"mode intermittent needs interval ({_choices(AttentionInterval)})"
                 ),
                 "mode": "periodic",
                 "checks_per_day": 24,
@@ -329,13 +310,13 @@ def _template_document() -> dict:
                 "//": (
                     "one entry per thing the AI's outputs affect; coupling and "
                     "interaction_complexity run 1-5; energy_level and knowledge_gap are "
-                    "low|medium|high"
+                    f"{_choices(EnergyLevel, KnowledgeGap)}"
                 ),
                 "name": "Example target",
                 "max_damage": {
                     "//": (
                         "worst case with an adversary in control: monetary_usd, lives_at_risk, "
-                        "reputational (none|minor|major); declare at least one"
+                        f"reputational ({_choices(Reputational)}); declare at least one"
                     ),
                     "monetary_usd": 0,
                 },

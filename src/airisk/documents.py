@@ -1,9 +1,10 @@
-"""Reading and writing assessment documents.
+"""Reading and writing assessment documents and machine reports.
 
 The on-disk format is a single UTF-8 JSON document whose fields mirror the
 model types one for one; all enum values are lowercase strings.  ``SCHEMA``
-lists every field of every type once, and decoding, writing and the
-machine report's round trip all follow it.  Writing is
+lists every field of every type once, for the assessment document and for
+the machine report alike, and one decoder walk and one canonical writer
+follow it for both.  Writing is
 canonical: fixed key order, two-space indentation, a trailing newline, and
 no optional fields at their default values, so equal profiles always
 produce identical bytes.
@@ -21,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Any, Callable
 
 from .model import (
@@ -41,6 +43,8 @@ from .model import (
     TimeDelay,
     validate_profile,
 )
+from .rules import Calibration, Finding, Measure, RiskReport, RuleDefinition, RuleId, RuleReport, TargetResult
+from .tables import DamageClass, DamagePartyProfile, DamageThresholds, RiskLevel
 
 COMMENT_KEY = "//"
 
@@ -87,10 +91,13 @@ class AssessmentDocumentError(Exception):
 # -- the schema: each document type's fields in document order --
 #
 # An entry is (key, kind) for a required field or (key, kind, default) for
-# an optional one; keys are also the model's attribute names.  A kind is a
-# scalar decoder below, an enum, another document type, or [type] for an
-# array of that type.  The decoder, the canonical writer and the machine
-# report's round trip all read this table.
+# an optional one.  A key names the attribute too, unless given as (key,
+# attribute); (None, attribute) inlines the attribute's type, whose fields
+# then sit in this object; (key, None) with kind _version is a schema_version
+# the type does not store: written as SCHEMA_VERSION, and checked when read.
+# Any other attribute must be a constructor argument.  A kind is a scalar
+# decoder below, an enum, another document type, or [kind] for an array of
+# that kind.  One decoder and one writer read this table.
 
 _LEVEL = object()  # default of ``projected``: the dimension's current level
 
@@ -205,6 +212,59 @@ SCHEMA: dict[type, tuple[tuple, ...]] = {
         ("targets", [TargetAssessment]),
         ("safety", SafetyProfile),
     ),
+    # The machine report.
+    DamagePartyProfile: (("damage", RiskLevel), ("party_degree", _int)),
+    TargetResult: (
+        ("name", _str),
+        (("max_damage", "max_damage_text"), _str),
+        ("accident_risk", RiskLevel),
+        ((None, "damage_party"), DamagePartyProfile),
+        ("quadrant", _int, None),
+    ),
+    Finding: (
+        ("rule", RuleId),
+        ("triggered", _bool),
+        ("measures", [Measure], ()),
+        (("targets", "targets_involved"), [_str], ()),
+        ("rationale", _str),
+    ),
+    RuleReport: (("findings", [Finding]),),
+    DamageThresholds: (
+        ("minor", _number),
+        ("major", _number),
+        ("severe", _number),
+        ("catastrophic", _number),
+    ),
+    Calibration: (
+        ("very_small_time_delays", [TimeDelay]),
+        ("poor_observability_max", _int),
+        ("poor_attention_min", AttentionInterval),
+        ("low_correctability_max", _int),
+        ("accident_risk_min", RiskLevel),
+        ("significant_damage_min", RiskLevel),
+        ("significant_party_min", _int),
+        ("high_damage_min", DamageClass),
+        ("safety_review_level", _int),
+        ("safety_critical_level", _int),
+        ("damage_thresholds", DamageThresholds),
+        ("quadrant_convention", _str),
+    ),
+    RiskReport: (
+        (("schema_version", None), _version),
+        ("profile_name", _str),
+        ("intervention", InterventionIndicators),
+        (("targets", "target_results"), [TargetResult]),
+        ("safety", SafetyProfile),
+        ((None, "rule_findings"), RuleReport),
+        ("calibration", Calibration),
+    ),
+    # The rule catalog of ``airisk rules --format machine``.
+    RuleDefinition: (
+        ("id", RuleId),
+        ("text", _str),
+        ("condition", _str),
+        ("measures", [Measure]),
+    ),
 }
 
 
@@ -223,27 +283,62 @@ def _enum_decoder(enum_cls: type[Enum]) -> Callable[[Any], Enum]:
     return decode
 
 
-# How the decoder reads each field's value.  In the plans below, a default
-# of _MISSING marks a required field.
-_SCALAR, _OBJECT, _ARRAY = range(3)
-
-
-def _decode_plan(fields: tuple[tuple, ...]) -> tuple[frozenset, tuple]:
-    steps = []
-    for key, kind, *default in fields:
-        if isinstance(kind, list):
-            shape, kind = _ARRAY, kind[0]
-        elif kind in SCHEMA:
-            shape = _OBJECT
+def _layout(cls: type) -> tuple[list[tuple[str, str | None, Any, Any]], Callable[..., Any]]:
+    """cls's document fields, inlined types spliced in, as (key, attribute path,
+    kind, default), with a path of None for a version cls does not store; and
+    what the decoder builds cls with from those fields by key: cls itself,
+    unless the schema renames, inlines or writes a version cls does not store."""
+    takes = cls.__init__.__annotations__  # the parameters; inspect.signature costs ms of import time
+    fields, named, inline = [], [], []
+    for key, kind, *default in SCHEMA[cls]:
+        key, attr = key if isinstance(key, tuple) else (key, key)
+        if attr is None and kind is _version:
+            fields.append((key, None, kind, _MISSING))
+            continue
+        if attr not in takes:
+            raise TypeError(f"SCHEMA[{cls.__name__}]: {attr!r} is not a constructor argument")
+        if key is None:
+            inner, build = _layout(kind)
+            fields += [(k, f"{attr}.{path}", kd, d) for k, path, kd, d in inner]
+            inline.append((attr, build, [k for k, *_ in inner]))
         else:
-            shape = _SCALAR
+            fields.append((key, attr, kind, default[0] if default else _MISSING))
+            named.append((key, attr))
+    if len(named) == len(SCHEMA[cls]) and all(key == attr for key, attr in named):
+        return fields, cls
+
+    def make(**values: Any) -> Any:
+        kwargs = {attr: values[key] for key, attr in named}
+        for attr, build, keys in inline:
+            kwargs[attr] = build(**{k: values[k] for k in keys})
+        return cls(**kwargs)
+
+    return fields, make
+
+
+# How the decoder reads each field's value: one scalar, one object, an
+# array of objects, or an array of scalars.  In the plans below, a default
+# of _MISSING marks a required field.
+_SCALAR, _OBJECT, _ARRAY, _SCALARS = range(4)
+
+
+def _decode_plan(cls: type) -> tuple[frozenset, tuple, Callable[..., Any]]:
+    fields, make = _layout(cls)
+    steps = []
+    for key, _, kind, default in fields:
+        array = isinstance(kind, list)
+        kind = kind[0] if array else kind
+        if kind in SCHEMA:
+            shape = _ARRAY if array else _OBJECT
+        else:
+            shape = _SCALARS if array else _SCALAR
             if isinstance(kind, type):
                 kind = _enum_decoder(kind)
-        steps.append((key, shape, kind, default[0] if default else _MISSING))
-    return frozenset(key for key, *_ in fields) | {COMMENT_KEY}, tuple(steps)
+        steps.append((key, shape, kind, default))
+    return frozenset(key for key, *_ in steps) | {COMMENT_KEY}, tuple(steps), make
 
 
-_DECODE_PLANS = {cls: _decode_plan(fields) for cls, fields in SCHEMA.items()}
+_DECODE_PLANS = {cls: _decode_plan(cls) for cls in SCHEMA}
 
 
 def _join(prefix: str, key: str) -> str:
@@ -267,7 +362,7 @@ class _Decoder:
             message = "must be an object" if path else "document must be a JSON object"
             self.error(ErrorKind.TYPE_MISMATCH, path or "$", message)
             return None
-        allowed, steps = _DECODE_PLANS[cls]
+        allowed, steps, make = _DECODE_PLANS[cls]
         if not obj.keys() <= allowed:
             unknown = self.errors if self.strict else self.warnings
             for key in obj:
@@ -289,14 +384,26 @@ class _Decoder:
                     self.error(e.kind, _join(path, key), e.message)
             elif shape == _OBJECT:
                 values[key] = self.decode(kind, value, _join(path, key))
-            elif type(value) is list:
+            elif type(value) is not list:
+                self.error(ErrorKind.TYPE_MISMATCH, _join(path, key), "must be an array")
+            elif shape == _ARRAY:
                 prefix = _join(path, key)
                 values[key] = tuple([self.decode(kind, el, f"{prefix}[{i}]") for i, el in enumerate(value)])
             else:
-                self.error(ErrorKind.TYPE_MISMATCH, _join(path, key), "must be an array")
+                prefix, items = _join(path, key), []
+                for i, el in enumerate(value):
+                    try:
+                        items.append(kind(el))
+                    except _Reject as e:
+                        self.error(e.kind, f"{prefix}[{i}]", e.message)
+                values[key] = tuple(items)
         if len(self.errors) != errors_before:
             return None
-        return cls(**values)
+        try:
+            return make(**values)
+        except ValueError as e:  # a type's own check, such as DamageThresholds' order
+            self.error(ErrorKind.INVARIANT_VIOLATION, path or "$", str(e))
+            return None
 
 
 def _load_json(data: bytes | str, dec: _Decoder) -> Any:
@@ -402,36 +509,33 @@ def _dump(obj: Any, newline: str) -> str:
     raise _NotCanonical
 
 
-def _is_default(obj: Any, value: Any, default: Any) -> bool:
-    return value == (obj.level if default is _LEVEL else default)
-
-
 def _write_document(obj: Any, newline: str) -> str:
     # Optional fields are left out at their default, and ``projected``
     # when it equals ``level``.
     inner = newline + "  "
     items = []
-    for key_text, key, default, write in _WRITE_PLANS[type(obj)]:
-        value = getattr(obj, key)
-        if default is _MISSING or not _is_default(obj, value, default):
+    for key_text, get, default, write, _ in _WRITE_PLANS[type(obj)]:
+        value = get(obj)
+        if default is _MISSING or value != (obj.level if default is _LEVEL else default):
             items.append(key_text + write(value, inner))
     if not items:
         return "{}"
     return "{" + inner + ("," + inner).join(items) + newline + "}"
 
 
-# Per document type: (encoded key, attribute, default, writer) in document order.
+# Per document type: (encoded key, getter, default, writer, key) in document order.
 _WRITE_PLANS = {
     cls: tuple(
         (
             _encode_str(key) + ": ",
-            key,
-            default[0] if default else _MISSING,
+            attrgetter(path) if path else (lambda obj: SCHEMA_VERSION),
+            default,
             _write_document if isinstance(kind, type) and kind in SCHEMA else _dump,
+            key,
         )
-        for key, kind, *default in fields
+        for key, path, kind, default in _layout(cls)[0]
     )
-    for cls, fields in SCHEMA.items()
+    for cls in SCHEMA
 }
 
 
@@ -441,9 +545,9 @@ def _document_object(obj: Any) -> dict:
     if type(obj) not in _WRITE_PLANS:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     out = {}
-    for _, key, default, _ in _WRITE_PLANS[type(obj)]:
-        value = getattr(obj, key)
-        if default is _MISSING or not _is_default(obj, value, default):
+    for _, get, default, _, key in _WRITE_PLANS[type(obj)]:
+        value = get(obj)
+        if default is _MISSING or value != (obj.level if default is _LEVEL else default):
             out[key] = value
     return out
 
@@ -451,8 +555,8 @@ def _document_object(obj: Any) -> dict:
 def canonical_json_bytes(obj: Any) -> bytes:
     """Serialize any JSON-ready structure in the canonical document style.
 
-    Document types (a profile and each of its parts) are written as their
-    document objects.  The bytes are identical to
+    Document types (a profile, a report, and each of their parts) are
+    written as their document objects.  The bytes are identical to
     ``(json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n")``
     encoded as UTF-8, errors included: NaN and infinities raise ValueError,
     and a lone surrogate raises UnicodeEncodeError.  Strings, numbers and
@@ -471,12 +575,3 @@ def canonical_json_bytes(obj: Any) -> bytes:
 def serialize_assessment(profile: AssessmentProfile) -> bytes:
     """Write a valid profile as canonical document bytes."""
     return canonical_json_bytes(profile)
-
-
-def from_obj(cls: type, obj: Any, path: str) -> Any:
-    """Strictly rebuild one document type from its object form; raises ValueError."""
-    dec = _Decoder(strict=True)
-    result = dec.decode(cls, obj, path)
-    if dec.errors:
-        raise ValueError(format_document_error(dec.errors[0]))
-    return result

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 
 SCHEMA_VERSION = 1
 
@@ -80,7 +81,6 @@ class InteractionCategory(str, Enum):
 
 
 # Ordinal positions for the enums whose declaration order is meaningful.
-TIME_DELAY_RANK = {v: i for i, v in enumerate(TimeDelay)}
 ATTENTION_RANK = {v: i for i, v in enumerate(AttentionInterval)}
 REPUTATIONAL_RANK = {v: i for i, v in enumerate(Reputational)}
 
@@ -232,8 +232,9 @@ def _validate_target(out: list[Violation], prefix: str, target: TargetAssessment
                 "at least one of monetary_usd, lives_at_risk, reputational must be declared",
             )
         )
-    if d.monetary_usd is not None and not d.monetary_usd >= 0:
-        out.append(Violation(f"{prefix}.max_damage.monetary_usd", f"must be non-negative, got {d.monetary_usd!r}"))
+    if d.monetary_usd is not None and not 0 <= d.monetary_usd < inf:  # NaN fails both
+        bound = "be a finite number" if d.monetary_usd == inf else "be non-negative"
+        out.append(Violation(f"{prefix}.max_damage.monetary_usd", f"must {bound}, got {d.monetary_usd!r}"))
     if d.lives_at_risk is not None and d.lives_at_risk < 0:
         out.append(Violation(f"{prefix}.max_damage.lives_at_risk", f"must be non-negative, got {d.lives_at_risk!r}"))
     _check_range(out, f"{prefix}.coupling", target.coupling, 1, 5)

@@ -3,21 +3,17 @@
 The text and markdown formats present the same content in the same order:
 profile header, intervention table, target table, safety levels, the seven
 findings, and a calibration footer listing every invented cutoff in effect.
-The machine format is a canonical JSON document that parses back to an
-equal RiskReport.
+The machine format is the report's canonical JSON document, written and
+read through ``documents.SCHEMA``; it parses back to an equal RiskReport.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
-from typing import Any
 
-from . import rules as _rules
-from .documents import canonical_json_bytes, from_obj
+from .documents import _Decoder, _load_json, canonical_json_bytes, format_document_error
 from .model import (
-    TIME_DELAY_RANK,
     ATTENTION_RANK,
     AssessmentProfile,
     AttentionInterval,
@@ -26,87 +22,22 @@ from .model import (
     MaxDamage,
     Reputational,
     SafetyProfile,
-    TimeDelay,
 )
-from .rules import Finding, Measure, MEASURE_LABELS, RuleId, RuleReport, evaluate_rules
+from .rules import MEASURE_LABELS, Finding, Measure, calibration_for, evaluate_rules
+from .rules import Calibration, RiskReport, TargetResult  # defined with the rules; exported here too
 from .tables import (
     DEFAULT_DAMAGE_THRESHOLDS,
-    DamageClass,
-    DamagePartyProfile,
     DamageThresholds,
-    RiskLevel,
     quadrant,
     target_accident_risk,
     target_damage_party,
 )
-
-QUADRANT_CONVENTION = "1 upper-left, 2 upper-right, 3 lower-left, 4 lower-right (gap x energy)"
 
 
 class ReportFormat(str, Enum):
     TEXT = "text"
     MARKDOWN = "markdown"
     MACHINE = "machine"
-
-
-@dataclass(frozen=True)
-class TargetResult:
-    """Derived risk results for one target."""
-
-    name: str
-    max_damage_text: str
-    accident_risk: RiskLevel
-    damage_party: DamagePartyProfile
-    quadrant: int | None = None
-
-
-@dataclass(frozen=True)
-class Calibration:
-    """The cutoffs behind the rules' qualitative phrases, as evaluated."""
-
-    very_small_time_delays: tuple[TimeDelay, ...]
-    poor_observability_max: int
-    poor_attention_min: AttentionInterval
-    low_correctability_max: int
-    accident_risk_min: RiskLevel
-    significant_damage_min: RiskLevel
-    significant_party_min: int
-    high_damage_min: DamageClass
-    safety_review_level: int
-    safety_critical_level: int
-    damage_thresholds: DamageThresholds
-    quadrant_convention: str
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """Everything a rendered report contains, in rendering order."""
-
-    profile_name: str
-    intervention: InterventionIndicators
-    target_results: tuple[TargetResult, ...]
-    safety: SafetyProfile
-    rule_findings: RuleReport
-    calibration: Calibration
-
-
-def current_calibration(thresholds: DamageThresholds = DEFAULT_DAMAGE_THRESHOLDS) -> Calibration:
-    """The calibration in effect for a given set of damage thresholds."""
-    delays = tuple(sorted(_rules.VERY_SMALL_TIME_DELAYS, key=TIME_DELAY_RANK.__getitem__))
-    return Calibration(
-        very_small_time_delays=delays,
-        poor_observability_max=_rules.POOR_OBSERVABILITY_MAX,
-        poor_attention_min=_rules.POOR_ATTENTION_MIN,
-        low_correctability_max=_rules.LOW_CORRECTABILITY_MAX,
-        accident_risk_min=_rules.ACCIDENT_RISK_MIN,
-        significant_damage_min=_rules.SIGNIFICANT_DAMAGE_MIN,
-        significant_party_min=_rules.SIGNIFICANT_PARTY_MIN,
-        high_damage_min=_rules.HIGH_DAMAGE_MIN,
-        safety_review_level=_rules.SAFETY_REVIEW_LEVEL,
-        safety_critical_level=_rules.SAFETY_CRITICAL_LEVEL,
-        damage_thresholds=thresholds,
-        quadrant_convention=QUADRANT_CONVENTION,
-    )
 
 
 def format_usd(amount: float) -> str:
@@ -178,7 +109,7 @@ def build_report(
         target_results=tuple(results),
         safety=profile.safety,
         rule_findings=findings,
-        calibration=current_calibration(thresholds),
+        calibration=calibration_for(thresholds),
     )
 
 
@@ -196,15 +127,18 @@ def _aligned_table(header: list[str], rows: list[list[str]]) -> list[str]:
     return [line(header)] + [line(row) for row in rows]
 
 
-def render_intervention_table(ind: InterventionIndicators) -> str:
-    """The four timely-intervention indicators as an aligned two-column table."""
-    rows = [
+def _intervention_rows(ind: InterventionIndicators) -> list[tuple[str, str]]:
+    return [
         ("Time Delay", ind.time_delay.value),
         ("Observability", str(ind.observability)),
         ("Human Attention", format_attention(ind.attention)),
         ("Correctability", str(ind.correctability)),
     ]
-    return "\n".join(_two_column(rows))
+
+
+def render_intervention_table(ind: InterventionIndicators) -> str:
+    """The four timely-intervention indicators as an aligned two-column table."""
+    return "\n".join(_two_column(_intervention_rows(ind)))
 
 
 def _target_rows(results: tuple[TargetResult, ...]) -> tuple[list[str], list[list[str]]]:
@@ -306,7 +240,7 @@ def _md_escape(s: str) -> str:
     return s.replace("|", "\\|")
 
 
-def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
+def _md_table(header: list[str], rows: Sequence[Sequence[str]]) -> list[str]:
     out = [
         "| " + " | ".join(_md_escape(h) for h in header) + " |",
         "|" + "|".join(" --- " for _ in header) + "|",
@@ -320,21 +254,13 @@ def _render_markdown(report: RiskReport) -> str:
     lines = [f"# Risk Assessment: {report.profile_name}"]
     ind = report.intervention
     lines += ["", "## Intervention Indicators", ""]
-    lines += _md_table(
-        ["Indicator", "Value"],
-        [
-            ["Time Delay", ind.time_delay.value],
-            ["Observability", str(ind.observability)],
-            ["Human Attention", format_attention(ind.attention)],
-            ["Correctability", str(ind.correctability)],
-        ],
-    )
+    lines += _md_table(["Indicator", "Value"], _intervention_rows(ind))
     lines += ["", f"Can take offline: {'yes' if ind.can_take_offline else 'no'}"]
     header, rows = _target_rows(report.target_results)
     lines += ["", "## Targets", ""]
     lines += _md_table(header, rows)
     lines += ["", "## Safety Levels", ""]
-    lines += _md_table(["Dimension", "Level"], [[n, v] for n, v in _safety_rows(report.safety)])
+    lines += _md_table(["Dimension", "Level"], _safety_rows(report.safety))
     lines += ["", "## Findings", ""]
     for finding in report.rule_findings.findings:
         status = "triggered" if finding.triggered else "not triggered"
@@ -351,128 +277,26 @@ def _render_markdown(report: RiskReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _calibration_to_obj(cal: Calibration) -> dict:
-    t = cal.damage_thresholds
-    return {
-        "very_small_time_delays": [d.value for d in cal.very_small_time_delays],
-        "poor_observability_max": cal.poor_observability_max,
-        "poor_attention_min": cal.poor_attention_min.value,
-        "low_correctability_max": cal.low_correctability_max,
-        "accident_risk_min": cal.accident_risk_min.value,
-        "significant_damage_min": cal.significant_damage_min.value,
-        "significant_party_min": cal.significant_party_min,
-        "high_damage_min": cal.high_damage_min.value,
-        "safety_review_level": cal.safety_review_level,
-        "safety_critical_level": cal.safety_critical_level,
-        "damage_thresholds": {
-            "minor": t.minor,
-            "major": t.major,
-            "severe": t.severe,
-            "catastrophic": t.catastrophic,
-        },
-        "quadrant_convention": cal.quadrant_convention,
-    }
-
-
-def _finding_to_obj(finding: Finding) -> dict:
-    out: dict[str, Any] = {"rule": finding.rule.value, "triggered": finding.triggered}
-    if finding.measures:
-        out["measures"] = [m.value for m in finding.measures]
-    if finding.targets_involved:
-        out["targets"] = list(finding.targets_involved)
-    out["rationale"] = finding.rationale
-    return out
-
-
-def _target_result_to_obj(r: TargetResult) -> dict:
-    out: dict[str, Any] = {
-        "name": r.name,
-        "max_damage": r.max_damage_text,
-        "accident_risk": r.accident_risk.value,
-        "damage": r.damage_party.damage.value,
-        "party_degree": r.damage_party.party_degree,
-    }
-    if r.quadrant is not None:
-        out["quadrant"] = r.quadrant
-    return out
-
-
-def _render_machine(report: RiskReport) -> bytes:
-    doc = {
-        "schema_version": 1,
-        "profile_name": report.profile_name,
-        "intervention": report.intervention,
-        "targets": [_target_result_to_obj(r) for r in report.target_results],
-        "safety": report.safety,
-        "findings": [_finding_to_obj(f) for f in report.rule_findings.findings],
-        "calibration": _calibration_to_obj(report.calibration),
-    }
-    return canonical_json_bytes(doc)
-
-
 def render_report(report: RiskReport, format: ReportFormat | str, *, color: bool = False) -> bytes:
     """Render a report in the requested format as UTF-8 bytes."""
     fmt = ReportFormat(format)
     if fmt is ReportFormat.MACHINE:
-        return _render_machine(report)
+        return canonical_json_bytes(report)
     if fmt is ReportFormat.MARKDOWN:
         return _render_markdown(report).encode("utf-8")
     return _render_text(report, color).encode("utf-8")
 
 
 def parse_machine_report(data: bytes | str) -> RiskReport:
-    """Rebuild a RiskReport from machine-format bytes; raises ValueError."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"not a machine report: {e.msg}") from e
-    try:
-        if doc["schema_version"] != 1:
-            raise ValueError(f"unsupported machine report version {doc['schema_version']!r}")
-        targets = tuple(
-            TargetResult(
-                name=obj["name"],
-                max_damage_text=obj["max_damage"],
-                accident_risk=RiskLevel(obj["accident_risk"]),
-                damage_party=DamagePartyProfile(RiskLevel(obj["damage"]), obj["party_degree"]),
-                quadrant=obj.get("quadrant"),
-            )
-            for obj in doc["targets"]
-        )
-        findings = tuple(
-            Finding(
-                rule=RuleId(obj["rule"]),
-                triggered=obj["triggered"],
-                measures=tuple(Measure(m) for m in obj.get("measures", [])),
-                rationale=obj["rationale"],
-                targets_involved=tuple(obj.get("targets", [])),
-            )
-            for obj in doc["findings"]
-        )
-        cal = doc["calibration"]
-        calibration = Calibration(
-            very_small_time_delays=tuple(TimeDelay(d) for d in cal["very_small_time_delays"]),
-            poor_observability_max=cal["poor_observability_max"],
-            poor_attention_min=AttentionInterval(cal["poor_attention_min"]),
-            low_correctability_max=cal["low_correctability_max"],
-            accident_risk_min=RiskLevel(cal["accident_risk_min"]),
-            significant_damage_min=RiskLevel(cal["significant_damage_min"]),
-            significant_party_min=cal["significant_party_min"],
-            high_damage_min=DamageClass(cal["high_damage_min"]),
-            safety_review_level=cal["safety_review_level"],
-            safety_critical_level=cal["safety_critical_level"],
-            damage_thresholds=DamageThresholds(**cal["damage_thresholds"]),
-            quadrant_convention=cal["quadrant_convention"],
-        )
-        return RiskReport(
-            profile_name=doc["profile_name"],
-            intervention=from_obj(InterventionIndicators, doc["intervention"], "intervention"),
-            target_results=targets,
-            safety=from_obj(SafetyProfile, doc["safety"], "safety"),
-            rule_findings=RuleReport(findings),
-            calibration=calibration,
-        )
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"not a machine report: {e}") from e
+    """Rebuild a RiskReport from machine-format bytes or text.
+
+    The document must match the report's schema exactly: a wrong type, a
+    missing or unknown field, or bytes that are not JSON raise ValueError,
+    which names the first problem's path.
+    """
+    dec = _Decoder(strict=True)
+    obj = _load_json(data, dec)
+    report = None if dec.errors else dec.decode(RiskReport, obj, "")
+    if dec.errors:
+        raise ValueError(f"not a machine report: {format_document_error(dec.errors[0])}")
+    return report

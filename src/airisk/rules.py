@@ -12,8 +12,9 @@ written from those outcomes only when a report's findings are first read,
 so callers that need just the triggered rules never pay for the prose.
 
 The cutoffs that sharpen qualitative phrases like "very small" or "poor"
-into decidable predicates are module constants, collected in this module
-so reports can print the calibration in effect.
+into decidable predicates live in one frozen ``Calibration``; its defaults
+are ``DEFAULT_CALIBRATION``.  The decision pass and the rationale text both
+read the calibration in effect, and reports print it as evaluated.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from .model import (
     ATTENTION_RANK,
     AssessmentProfile,
     AttentionInterval,
+    InterventionIndicators,
     InvalidProfileError,
     SafetyDimension,
+    SafetyProfile,
     TimeDelay,
     attention_magnitude,
     validate_profile,
@@ -85,17 +88,34 @@ MEASURE_LABELS: dict[Measure, str] = {
     Measure.AI_SAFETY_EXPERT_CONSULTATION: "consultation with AI safety experts",
 }
 
-# Calibration constants behind the rules' qualitative phrases.
-VERY_SMALL_TIME_DELAYS = frozenset({TimeDelay.MILLISECONDS, TimeDelay.SECONDS})
-POOR_OBSERVABILITY_MAX = 2
-POOR_ATTENTION_MIN = AttentionInterval.DAYS
-LOW_CORRECTABILITY_MAX = 2
-ACCIDENT_RISK_MIN = RiskLevel.MEDIUM
-SIGNIFICANT_DAMAGE_MIN = RiskLevel.MEDIUM
-SIGNIFICANT_PARTY_MIN = 3
-HIGH_DAMAGE_MIN = DamageClass.SEVERE
-SAFETY_REVIEW_LEVEL = 2
-SAFETY_CRITICAL_LEVEL = 3
+
+@dataclass(frozen=True)
+class Calibration:
+    """The cutoffs behind the rules' qualitative phrases, as evaluated."""
+
+    very_small_time_delays: tuple[TimeDelay, ...] = (TimeDelay.MILLISECONDS, TimeDelay.SECONDS)
+    poor_observability_max: int = 2
+    poor_attention_min: AttentionInterval = AttentionInterval.DAYS
+    low_correctability_max: int = 2
+    accident_risk_min: RiskLevel = RiskLevel.MEDIUM
+    significant_damage_min: RiskLevel = RiskLevel.MEDIUM
+    significant_party_min: int = 3
+    high_damage_min: DamageClass = DamageClass.SEVERE
+    safety_review_level: int = 2
+    safety_critical_level: int = 3
+    damage_thresholds: DamageThresholds = DEFAULT_DAMAGE_THRESHOLDS
+    quadrant_convention: str = "1 upper-left, 2 upper-right, 3 lower-left, 4 lower-right (gap x energy)"
+
+
+DEFAULT_CALIBRATION = Calibration()
+
+
+def calibration_for(thresholds: DamageThresholds) -> Calibration:
+    """The calibration in effect: ``DEFAULT_CALIBRATION`` for the default
+    thresholds object, else one holding the thresholds exactly as given."""
+    if thresholds is DEFAULT_DAMAGE_THRESHOLDS:
+        return DEFAULT_CALIBRATION
+    return Calibration(damage_thresholds=thresholds)
 
 
 @dataclass(frozen=True)
@@ -153,6 +173,29 @@ class RuleReport:
 
     def __repr__(self) -> str:
         return f"RuleReport(findings={self.findings!r})"
+
+
+@dataclass(frozen=True)
+class TargetResult:
+    """Derived risk results for one target."""
+
+    name: str
+    max_damage_text: str
+    accident_risk: RiskLevel
+    damage_party: DamagePartyProfile
+    quadrant: int | None = None
+
+
+@dataclass(frozen=True)
+class RiskReport:
+    """Everything a rendered report contains, in rendering order."""
+
+    profile_name: str
+    intervention: InterventionIndicators
+    target_results: tuple[TargetResult, ...]
+    safety: SafetyProfile
+    rule_findings: RuleReport
+    calibration: Calibration
 
 
 @dataclass(frozen=True)
@@ -251,16 +294,17 @@ class _Facts:
     The per-target lists follow the profile's target order.
     """
 
-    __slots__ = ("profile", "magnitude", "classes", "risks", "parties", "worst")
+    __slots__ = ("profile", "cal", "magnitude", "classes", "risks", "parties", "worst")
 
-    def __init__(self, profile: AssessmentProfile, thresholds: DamageThresholds):
+    def __init__(self, profile: AssessmentProfile, cal: Calibration):
         self.profile = profile
+        self.cal = cal
         self.magnitude = attention_magnitude(profile.intervention.attention)
         classes: list[DamageClass] = []
         risks: list[RiskLevel] = []
         parties: list[DamagePartyProfile] = []
         for t in profile.targets:
-            classes.append(damage_class(t.max_damage, thresholds))
+            classes.append(damage_class(t.max_damage, cal.damage_thresholds))
             risks.append(target_accident_risk(t))
             parties.append(target_damage_party(t))
         self.classes, self.risks, self.parties = classes, risks, parties
@@ -269,11 +313,11 @@ class _Facts:
 
 def _r1_conditions(facts: _Facts) -> tuple[bool, bool, bool, bool]:
     """R1's inputs: delay very small, observability poor, attention poor, effects trivial."""
-    ind = facts.profile.intervention
+    ind, cal = facts.profile.intervention, facts.cal
     return (
-        ind.time_delay in VERY_SMALL_TIME_DELAYS,
-        ind.observability <= POOR_OBSERVABILITY_MAX,
-        ATTENTION_RANK[facts.magnitude] >= ATTENTION_RANK[POOR_ATTENTION_MIN],
+        ind.time_delay in cal.very_small_time_delays,
+        ind.observability <= cal.poor_observability_max,
+        ATTENTION_RANK[facts.magnitude] >= ATTENTION_RANK[cal.poor_attention_min],
         facts.worst is DamageClass.NEGLIGIBLE,
     )
 
@@ -284,28 +328,30 @@ def _decide(facts: _Facts) -> tuple:
     R1 and R2 give a bool; R3-R5 a list of the qualifying targets' indices;
     R6 and R7 a list of the qualifying (name, dimension) safety pairs.
     """
-    ind = facts.profile.intervention
+    ind, cal = facts.profile.intervention, facts.cal
     delay_small, obs_poor, att_poor, trivial = _r1_conditions(facts)
-    risk_floor = RISK_RANK[ACCIDENT_RISK_MIN]
-    damage_floor = RISK_RANK[SIGNIFICANT_DAMAGE_MIN]
-    class_floor = DAMAGE_CLASS_RANK[HIGH_DAMAGE_MIN]
-    dims = facts.profile.safety.dimensions()
+    risk_floor = RISK_RANK[cal.accident_risk_min]
+    damage_floor = RISK_RANK[cal.significant_damage_min]
+    class_floor = DAMAGE_CLASS_RANK[cal.high_damage_min]
+    party_floor = cal.significant_party_min
+    review, critical = [], []
+    for name, dim in facts.profile.safety.dimensions():
+        if dim.level >= cal.safety_review_level:
+            review.append((name, dim))
+        if dim.level >= cal.safety_critical_level or dim.projected >= cal.safety_critical_level:
+            critical.append((name, dim))
     return (
         delay_small and (obs_poor or att_poor) and not trivial,
-        ind.correctability <= LOW_CORRECTABILITY_MAX and not ind.can_take_offline,
+        ind.correctability <= cal.low_correctability_max and not ind.can_take_offline,
         [i for i, risk in enumerate(facts.risks) if RISK_RANK[risk] >= risk_floor],
         [
             i
             for i, dp in enumerate(facts.parties)
-            if dp.party_degree >= SIGNIFICANT_PARTY_MIN and RISK_RANK[dp.damage] >= damage_floor
+            if dp.party_degree >= party_floor and RISK_RANK[dp.damage] >= damage_floor
         ],
         [i for i, cls in enumerate(facts.classes) if DAMAGE_CLASS_RANK[cls] >= class_floor],
-        [(name, dim) for name, dim in dims if dim.level >= SAFETY_REVIEW_LEVEL],
-        [
-            (name, dim)
-            for name, dim in dims
-            if dim.level >= SAFETY_CRITICAL_LEVEL or dim.projected >= SAFETY_CRITICAL_LEVEL
-        ],
+        review,
+        critical,
     )
 
 
@@ -313,12 +359,12 @@ def _decide(facts: _Facts) -> tuple:
 
 
 def _explain_r1(facts: _Facts, fired: bool) -> str:
-    ind = facts.profile.intervention
+    ind, cal = facts.profile.intervention, facts.cal
     delay_small, obs_poor, att_poor, trivial = _r1_conditions(facts)
     if fired:
         parts = [f"time delay is {ind.time_delay.value}"]
         if obs_poor:
-            parts.append(f"observability is {ind.observability} (at most {POOR_OBSERVABILITY_MAX})")
+            parts.append(f"observability is {ind.observability} (at most {cal.poor_observability_max})")
         if att_poor:
             parts.append(f"attention gaps reach {facts.magnitude.value}")
         worst = facts.worst.value.lower()
@@ -328,8 +374,8 @@ def _explain_r1(facts: _Facts, fired: bool) -> str:
         parts.append(f"time delay is {ind.time_delay.value} (not sub-minute)")
     if not (obs_poor or att_poor):
         parts.append(
-            f"observability is {ind.observability} (above {POOR_OBSERVABILITY_MAX}) and "
-            f"attention gaps are {facts.magnitude.value} (under {POOR_ATTENTION_MIN.value})"
+            f"observability is {ind.observability} (above {cal.poor_observability_max}) and "
+            f"attention gaps are {facts.magnitude.value} (under {cal.poor_attention_min.value})"
         )
     if trivial:
         parts.append("every target's damage class is negligible")
@@ -337,17 +383,17 @@ def _explain_r1(facts: _Facts, fired: bool) -> str:
 
 
 def _explain_r2(facts: _Facts, fired: bool) -> str:
-    ind = facts.profile.intervention
+    ind, low = facts.profile.intervention, facts.cal.low_correctability_max
     if fired:
         return _sentence(
             [
-                f"correctability is {ind.correctability} (at most {LOW_CORRECTABILITY_MAX})",
+                f"correctability is {ind.correctability} (at most {low})",
                 "the system cannot be taken offline",
             ]
         )
     parts = []
-    if ind.correctability > LOW_CORRECTABILITY_MAX:
-        parts.append(f"correctability is {ind.correctability} (above {LOW_CORRECTABILITY_MAX})")
+    if ind.correctability > low:
+        parts.append(f"correctability is {ind.correctability} (above {low})")
     if ind.can_take_offline:
         parts.append("the system can be taken offline")
     return _sentence(parts)
@@ -395,14 +441,16 @@ def _argmax_dimension(dims: tuple[tuple[str, SafetyDimension], ...], key) -> tup
 
 
 def _explain_r6(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
+    review = facts.cal.safety_review_level
     if hits:
         items = [f"{_display(name)} ({dim.level})" for name, dim in hits]
-        return f"Safety levels at {SAFETY_REVIEW_LEVEL} or higher: {_prose_join(items)}."
+        return f"Safety levels at {review} or higher: {_prose_join(items)}."
     name, level = _argmax_dimension(facts.profile.safety.dimensions(), lambda d: d.level)
-    return f"All safety levels are at most {SAFETY_REVIEW_LEVEL - 1} (highest is {_display(name)} at {level})."
+    return f"All safety levels are at most {review - 1} (highest is {_display(name)} at {level})."
 
 
 def _explain_r7(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
+    critical = facts.cal.safety_critical_level
     if hits:
         items = []
         for name, dim in hits:
@@ -410,10 +458,10 @@ def _explain_r7(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
                 items.append(f"{_display(name)} ({dim.level}, projected {dim.projected})")
             else:
                 items.append(f"{_display(name)} ({dim.level})")
-        return f"Safety levels at or projected to reach {SAFETY_CRITICAL_LEVEL}: {_prose_join(items)}."
+        return f"Safety levels at or projected to reach {critical}: {_prose_join(items)}."
     name, value = _argmax_dimension(facts.profile.safety.dimensions(), _reach)
     return (
-        f"No safety level is at or projected to reach {SAFETY_CRITICAL_LEVEL} "
+        f"No safety level is at or projected to reach {critical} "
         f"(highest is {_display(name)} at {value})."
     )
 
@@ -461,5 +509,5 @@ def evaluate_rules(
     violations = validate_profile(profile)
     if violations:
         raise InvalidProfileError(violations)
-    facts = _Facts(profile, thresholds)
+    facts = _Facts(profile, calibration_for(thresholds))
     return RuleReport._decided(facts, _decide(facts))

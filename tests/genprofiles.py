@@ -8,6 +8,7 @@ profiles always satisfy validate_profile; the mutators preserve validity.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 from airisk import (
@@ -45,15 +46,52 @@ _MONETARY_CHOICES = (
     10_000_000_000,
 )
 
+# Enum members as tuples, built once per module rather than once per draw.
+_REPUTATIONAL = tuple(Reputational)
+_ENERGY_LEVELS = tuple(EnergyLevel)
+_KNOWLEDGE_GAPS = tuple(KnowledgeGap)
+_ATTENTION_INTERVALS = tuple(AttentionInterval)
+_TIME_DELAYS = tuple(TimeDelay)
+
+
+# random.Random draws randint(a, b) as a + below(b - a + 1) and choice(seq) as
+# seq[below(len(seq))], where below(n) takes n.bit_length() random bits until
+# they fall under n.  Doing those draws here, in one call each instead of three,
+# gives every seed the same profiles faster.
+def randint(rng: random.Random, a: int, b: int) -> int:
+    n = b - a + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
+def choice(rng: random.Random, seq):
+    n = len(seq)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return seq[r]
+
+
+# Model records are frozen values, so equal draws may share one instance.
+# Building each distinct record once keeps the frozen-dataclass constructors,
+# the dearest part of a profile, out of the draw loop.
+_max_damage = functools.cache(MaxDamage)
+_attention = functools.cache(HumanAttention)
+_dimension = functools.cache(SafetyDimension)
+
 
 def random_max_damage(rng: random.Random) -> MaxDamage:
-    monetary = rng.choice(_MONETARY_CHOICES) if rng.random() < 0.7 else None
-    lives = rng.choice((0, 0, 1, 4, 120)) if rng.random() < 0.3 else None
-    reputational = rng.choice(list(Reputational)) if rng.random() < 0.4 else None
+    monetary = choice(rng, _MONETARY_CHOICES) if rng.random() < 0.7 else None
+    lives = choice(rng, (0, 0, 1, 4, 120)) if rng.random() < 0.3 else None
+    reputational = choice(rng, _REPUTATIONAL) if rng.random() < 0.4 else None
     if monetary is None and lives is None and reputational is None:
-        monetary = rng.choice(_MONETARY_CHOICES)
-    notes = rng.choice(("", "", "adversary assumed to hold full control"))
-    return MaxDamage(monetary_usd=monetary, lives_at_risk=lives, reputational=reputational, notes=notes)
+        monetary = choice(rng, _MONETARY_CHOICES)
+    notes = choice(rng, ("", "", "adversary assumed to hold full control"))
+    return _max_damage(monetary_usd=monetary, lives_at_risk=lives, reputational=reputational, notes=notes)
 
 
 def random_target(rng: random.Random, name: str) -> TargetAssessment:
@@ -63,36 +101,36 @@ def random_target(rng: random.Random, name: str) -> TargetAssessment:
     return TargetAssessment(
         name=name,
         max_damage=random_max_damage(rng),
-        coupling=rng.randint(1, 5),
-        interaction_complexity=rng.randint(1, 5),
-        energy_level=rng.choice(list(EnergyLevel)),
-        knowledge_gap=rng.choice(list(KnowledgeGap)),
+        coupling=randint(rng, 1, 5),
+        interaction_complexity=randint(rng, 1, 5),
+        energy_level=choice(rng, _ENERGY_LEVELS),
+        knowledge_gap=choice(rng, _KNOWLEDGE_GAPS),
         position=position,
     )
 
 
 def random_attention(rng: random.Random) -> HumanAttention:
     if rng.random() < 0.5:
-        return HumanAttention(mode=AttentionMode.PERIODIC, checks_per_day=rng.randint(1, 96))
-    return HumanAttention(mode=AttentionMode.INTERMITTENT, interval=rng.choice(list(AttentionInterval)))
+        return _attention(mode=AttentionMode.PERIODIC, checks_per_day=randint(rng, 1, 96))
+    return _attention(mode=AttentionMode.INTERMITTENT, interval=choice(rng, _ATTENTION_INTERVALS))
 
 
 def random_dimension(rng: random.Random) -> SafetyDimension:
-    level = rng.randint(0, 3)
-    projected = None if rng.random() < 0.5 else rng.randint(level, 3)
-    return SafetyDimension(level=level, projected=projected)
+    level = randint(rng, 0, 3)
+    projected = None if rng.random() < 0.5 else randint(rng, level, 3)
+    return _dimension(level=level, projected=projected)
 
 
 def random_profile(rng: random.Random) -> AssessmentProfile:
-    targets = tuple(random_target(rng, f"target-{i}") for i in range(rng.randint(1, 4)))
+    targets = tuple(random_target(rng, f"target-{i}") for i in range(randint(rng, 1, 4)))
     return AssessmentProfile(
-        name=f"Generated system {rng.randrange(10**6)}",
-        ai_component=rng.choice(("planner", "controller", "classifier", "chat model")),
+        name=f"Generated system {randint(rng, 0, 10**6 - 1)}",
+        ai_component=choice(rng, ("planner", "controller", "classifier", "chat model")),
         intervention=InterventionIndicators(
-            time_delay=rng.choice(list(TimeDelay)),
-            observability=rng.randint(0, 5),
+            time_delay=choice(rng, _TIME_DELAYS),
+            observability=randint(rng, 0, 5),
             attention=random_attention(rng),
-            correctability=rng.randint(0, 5),
+            correctability=randint(rng, 0, 5),
             can_take_offline=rng.random() < 0.5,
         ),
         targets=targets,
@@ -110,7 +148,7 @@ def raise_one_safety_level(rng: random.Random, profile: AssessmentProfile) -> As
     names = [name for name, dim in profile.safety.dimensions() if dim.level < 3]
     if not names:
         return profile
-    name = rng.choice(names)
+    name = choice(rng, names)
     dim = getattr(profile.safety, name)
     bumped = SafetyDimension(level=dim.level + 1, projected=max(dim.projected, dim.level + 1))
     safety = dataclasses.replace(profile.safety, **{name: bumped})

@@ -31,6 +31,26 @@ def test_assess_markdown_and_machine_match_goldens():
         assert result.stdout == (GOLDEN / f"roomba.{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args,golden",
+    [
+        (("rules", "--format", "machine"), "rules.json"),
+        (("tables", "--format", "machine"), "tables.json"),
+        (("tables", "--format", "machine", "--damage-thresholds", "1,2,3,4"), "tables-1-2-3-4.json"),
+    ],
+)
+def test_catalog_machine_output_matches_goldens(args, golden):
+    result = run_cli(*args)
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / golden).read_bytes()
+
+
+def test_init_template_matches_golden(tmp_path):
+    path = tmp_path / "new.json"
+    assert run_cli("init", str(path)).returncode == 0
+    assert path.read_bytes() == (GOLDEN / "init.json").read_bytes()
+
+
 def test_validate_passes_silently_on_good_documents():
     result = run_cli("validate", str(FIXTURES / "roomba.json"))
     assert result.returncode == 0

@@ -17,6 +17,7 @@ from airisk import (
     serialize_assessment,
     validate_profile,
 )
+from airisk import documents
 from airisk.documents import canonical_json_bytes, format_document_error
 
 from conftest import FIXTURES
@@ -293,7 +294,7 @@ def test_canonical_bytes_refuse_non_finite_numbers(bad):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_serializing_a_non_finite_amount_raises_value_error(roomba, bad):
-    # validate_profile lets an infinite amount through; the writer must not.
+    # validate_profile rejects both; the writer must too, even without it.
     target = dataclasses.replace(roomba.targets[0], max_damage=MaxDamage(monetary_usd=bad))
     with pytest.raises(ValueError, match="not JSON compliant"):
         serialize_assessment(dataclasses.replace(roomba, targets=(target,)))
@@ -436,3 +437,15 @@ def test_diagnostics_come_in_document_order(roomba_doc):
     errors = parse_errors(json.dumps(doc), warnings=warnings)
     assert [(e.kind, e.path, e.message) for e in errors] == [e for e in expected if e[0] is ErrorKind.TYPE_MISMATCH]
     assert warnings == []
+
+
+def test_a_schema_attribute_the_type_does_not_take_fails_when_planned(monkeypatch):
+    @dataclasses.dataclass(frozen=True)
+    class Pair:
+        left: int
+        right: int
+
+    fields = (("left", documents._int), (("right", "rihgt"), documents._int))
+    monkeypatch.setitem(documents.SCHEMA, Pair, fields)
+    with pytest.raises(TypeError, match="'rihgt' is not a constructor argument"):
+        documents._layout(Pair)

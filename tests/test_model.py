@@ -10,11 +10,13 @@ from airisk import (
     CouplingCategory,
     HumanAttention,
     InteractionCategory,
+    InvalidProfileError,
     MaxDamage,
     Position,
     SafetyDimension,
     SafetyProfile,
     attention_magnitude,
+    build_report,
     coupling_category,
     interaction_category,
     validate_profile,
@@ -90,6 +92,30 @@ def test_negative_monetary_and_lives_rejected(roomba):
     paths = violation_paths(dataclasses.replace(roomba, targets=(bad, roomba.targets[1])))
     assert "targets[0].max_damage.monetary_usd" in paths
     assert "targets[0].max_damage.lives_at_risk" in paths
+
+
+@pytest.mark.parametrize(
+    "amount,message",
+    [
+        (float("inf"), "must be a finite number, got inf"),
+        (-5.0, "must be non-negative, got -5.0"),
+        (float("nan"), "must be non-negative, got nan"),
+        (-float("inf"), "must be non-negative, got -inf"),
+    ],
+)
+def test_infinite_nan_and_negative_amounts_rejected(roomba, amount, message):
+    bad = dataclasses.replace(roomba.targets[0], max_damage=MaxDamage(monetary_usd=amount))
+    profile = dataclasses.replace(roomba, targets=(bad, roomba.targets[1]))
+    assert [(v.path, v.message) for v in validate_profile(profile)] == [
+        ("targets[0].max_damage.monetary_usd", message)
+    ]
+    with pytest.raises(InvalidProfileError):
+        build_report(profile)
+
+
+def test_huge_integer_amount_is_valid(roomba):
+    huge = dataclasses.replace(roomba.targets[0], max_damage=MaxDamage(monetary_usd=10**400))
+    assert validate_profile(dataclasses.replace(roomba, targets=(huge, roomba.targets[1]))) == []
 
 
 def test_coupling_and_complexity_score_ranges(roomba):

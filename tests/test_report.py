@@ -1,6 +1,10 @@
 """Report assembly and the three output formats."""
 
+import copy
 import dataclasses
+import json
+import random
+import re
 
 import pytest
 
@@ -13,6 +17,7 @@ from airisk import (
     Position,
     Reputational,
     RiskLevel,
+    RiskReport,
     RuleId,
     build_report,
     parse_machine_report,
@@ -21,6 +26,11 @@ from airisk import (
     render_target_table,
 )
 from airisk.report import format_attention, format_max_damage, format_usd
+from airisk.rules import DEFAULT_CALIBRATION, calibration_for
+from airisk.tables import DEFAULT_DAMAGE_THRESHOLDS
+
+from conftest import GOLDEN
+from genprofiles import random_profile
 
 
 @pytest.mark.parametrize(
@@ -147,6 +157,168 @@ def test_machine_parser_rejects_garbage():
         parse_machine_report(b'{"schema_version": 1}')
     with pytest.raises(ValueError):
         parse_machine_report(b'{"schema_version": 9}')
+
+
+def test_default_thresholds_give_the_default_calibration(roomba):
+    assert calibration_for(DEFAULT_DAMAGE_THRESHOLDS) is DEFAULT_CALIBRATION
+    assert build_report(roomba).calibration is DEFAULT_CALIBRATION
+    # Equal thresholds written as integers are reported as written.
+    ints = DamageThresholds(100, 100_000, 10_000_000, 1_000_000_000)
+    assert calibration_for(ints).damage_thresholds is ints
+    assert b'"minor": 100,' in render_report(build_report(roomba, ints), "machine")
+
+
+# -- the machine parser is strict: every field, every level --
+
+
+def _report_object() -> dict:
+    """The roomba golden report, with a quadrant on its first target.
+
+    Its R3 finding names a target, so every optional field is present.
+    """
+    doc = json.loads((GOLDEN / "roomba.json").read_bytes())
+    doc["targets"][0]["quadrant"] = 1
+    return doc
+
+
+def _walk(node, path=()):
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _walk(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _walk(value, path + (i,))
+
+
+def _dotted(path) -> str:
+    out = ""
+    for part in path:
+        out += f"[{part}]" if isinstance(part, int) else f".{part}" if out else part
+    return out
+
+
+def _with(doc: dict, path, value) -> bytes:
+    doc = copy.deepcopy(doc)
+    node = doc
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    return json.dumps(doc, indent=2, ensure_ascii=False).encode("utf-8") + b"\n"
+
+
+_WRONG_TYPE = {str: 5, bool: "yes", int: "3", float: "x", list: "Robot Movement", dict: []}
+_REPORT_PATHS = [path for path, _ in _walk(_report_object()) if path]
+
+
+def test_the_strictness_table_covers_a_report_that_parses_back_to_its_bytes():
+    doc = _report_object()
+    data = json.dumps(doc, indent=2, ensure_ascii=False).encode("utf-8") + b"\n"
+    report = parse_machine_report(data)
+    assert report.target_results[0].quadrant == 1
+    assert render_report(report, "machine") == data
+    assert len(_REPORT_PATHS) > 80
+
+
+@pytest.mark.parametrize("path", _REPORT_PATHS, ids=_dotted)
+def test_a_wrong_typed_value_names_its_path(path):
+    doc = _report_object()
+    node = doc
+    for part in path:
+        node = node[part]
+    with pytest.raises(ValueError, match=re.escape(f" {_dotted(path)}: ")):
+        parse_machine_report(_with(doc, path, _WRONG_TYPE[type(node)]))
+
+
+@pytest.mark.parametrize(
+    "path", [path for path, node in _walk(_report_object()) if isinstance(node, dict)], ids=_dotted
+)
+def test_an_unknown_key_is_rejected_at_every_level(path):
+    named = _dotted(path + ("bogus",))
+    with pytest.raises(ValueError, match=re.escape(f" {named}: unknown field")):
+        parse_machine_report(_with(_report_object(), path + ("bogus",), 1))
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("targets", 0, "party_degree"), "3"),
+        (("targets", 0, "quadrant"), "x"),
+        (("findings", 0, "triggered"), "yes"),
+        (("findings", 2, "targets"), "Robot Movement"),
+        (("findings", 0, "measures", 1), "monitoring"),
+        (("calibration", "very_small_time_delays", 0), "instant"),
+    ],
+)
+def test_plausible_but_wrong_values_are_rejected(path, value):
+    with pytest.raises(ValueError, match=re.escape(f" {_dotted(path)}: ")):
+        parse_machine_report(_with(_report_object(), path, value))
+
+
+def test_out_of_order_thresholds_name_their_object():
+    path = ("calibration", "damage_thresholds", "minor")
+    with pytest.raises(ValueError, match=re.escape(" calibration.damage_thresholds: damage thresholds")):
+        parse_machine_report(_with(_report_object(), path, 1e12))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"[" * 50_000, b'{"a":' * 20_000, b"\xff", b"[]", b"1e400"],
+    ids=["deep-arrays", "deep-objects", "not-utf8", "array", "huge-float"],
+)
+def test_non_json_and_deep_nesting_raise_value_error(data):
+    with pytest.raises(ValueError):
+        parse_machine_report(data)
+
+
+def _mutated_report(rng: random.Random, reports: list[bytes]) -> bytes:
+    data = rng.choice(reports)
+    roll = rng.random()
+    if roll < 0.25:
+        return data[: rng.randrange(len(data))]
+    if roll < 0.5:
+        flipped = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            flipped[rng.randrange(len(flipped))] = rng.randrange(256)
+        return bytes(flipped)
+    doc = json.loads(data)
+    for _ in range(rng.randint(1, 3)):
+        path, node = rng.choice(list(_walk(doc)))
+        if path and rng.random() < 0.2:
+            parent = doc
+            for part in path[:-1]:
+                parent = parent[part]
+            del parent[path[-1]]
+        elif isinstance(node, dict) and rng.random() < 0.3:
+            node[rng.choice(("bogus", "//", "name", "level"))] = rng.choice((1, "x", None))
+        elif path:
+            parent = doc
+            for part in path[:-1]:
+                parent = parent[part]
+            parent[path[-1]] = rng.choice(
+                (None, True, 0, -1, 3, 10**400, 1.5, float("nan"), float("inf"), "", "x", "\ud800",
+                 "Medium", "Severe", "R1", "seconds", "days", [], {}, [1, "a"], {"level": 0}, [[[]]])
+            )
+    return json.dumps(doc, indent=rng.choice((None, 2))).encode("utf-8")
+
+
+def test_machine_parser_gives_a_report_or_value_error_on_mutated_reports():
+    rng = random.Random(606)
+    reports = [render_report(build_report(random_profile(rng)), "machine") for _ in range(25)]
+    outcomes = {RiskReport: 0, ValueError: 0}
+    for i in range(2000):
+        data = _mutated_report(rng, reports)
+        try:
+            parsed = parse_machine_report(data)
+        except ValueError:
+            outcomes[ValueError] += 1
+            continue
+        except Exception as e:  # noqa: BLE001 - the point is that nothing else escapes
+            raise AssertionError(f"case {i} raised {e!r}") from e
+        assert isinstance(parsed, RiskReport), f"case {i}"
+        outcomes[RiskReport] += 1
+    # Both outcomes occur, so the mutations reach past the JSON layer.
+    assert outcomes[RiskReport] > 50 and outcomes[ValueError] > 1000, outcomes
 
 
 def test_unknown_format_is_rejected(roomba):
