@@ -2,18 +2,18 @@
 
 The on-disk format is a single UTF-8 JSON document whose fields mirror the
 model types one for one; all enum values are lowercase strings.  ``SCHEMA``
-lists every field of every type once, for the assessment document and for
-the machine report alike, and one decoder walk and one canonical writer
-follow it for both.  Writing is
-canonical: fixed key order, two-space indentation, a trailing newline, and
-no optional fields at their default values, so equal profiles always
-produce identical bytes.
+lists every field of every type once, for both documents.  One read step,
+``json.loads`` and then one decoder walk, serves ``parse_assessment`` and
+``parse_machine_report``.  One canonical writer serves both documents and
+raises json.dumps's own errors itself.  Its output has a fixed key order,
+two-space indentation, a trailing newline, and no optional fields at their
+default values, so equal profiles always produce identical bytes.
 
 Object keys equal to ``//`` are annotations for human readers; parsers
 skip them in both modes and the serializer never emits them.
 
 Parsing never partially succeeds: the decoder accumulates every problem it
-can find and raises ``AssessmentDocumentError`` carrying the full list.
+can find, and the first of them or the full list is raised.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ from .model import (
     SafetyProfile,
     TargetAssessment,
     TimeDelay,
+    _check_range,
+    _validate_intervention,
+    _validate_safety,
     validate_profile,
 )
 from .rules import Calibration, Finding, Measure, RiskReport, RuleDefinition, RuleId, RuleReport, TargetResult
@@ -426,6 +429,13 @@ def _load_json(data: bytes | str, dec: _Decoder) -> Any:
     return None
 
 
+def _read(cls: type, data: bytes | str, strict: bool) -> tuple[Any, _Decoder]:
+    """The read step of both documents: bytes to JSON to ``cls``, or to None after errors."""
+    dec = _Decoder(strict)
+    obj = _load_json(data, dec)
+    return (None if dec.errors else dec.decode(cls, obj, "")), dec
+
+
 def parse_assessment(
     data: bytes | str,
     *,
@@ -449,9 +459,7 @@ def parse_assessment(
     Raises:
         AssessmentDocumentError: carrying every DocumentError found.
     """
-    dec = _Decoder(strict)
-    obj = _load_json(data, dec)
-    profile = None if dec.errors else dec.decode(AssessmentProfile, obj, "")
+    profile, dec = _read(AssessmentProfile, data, strict)
     if dec.errors:
         raise AssessmentDocumentError(dec.errors)
     if warnings is not None:
@@ -465,17 +473,34 @@ def parse_assessment(
     return profile
 
 
+def parse_machine_report(data: bytes | str) -> RiskReport:
+    """Rebuild a RiskReport from machine-format bytes or text.
+
+    ValueError names the first problem and its path: bytes that are not JSON,
+    a missing, unknown or wrong-typed field, or a value outside its range.
+    """
+    report, dec = _read(RiskReport, data, True)
+    if dec.errors:
+        raise ValueError(f"not a machine report: {format_document_error(dec.errors[0])}")
+    out = []
+    _validate_intervention(out, report.intervention)
+    for i, result in enumerate(report.target_results):
+        _check_range(out, f"targets[{i}].party_degree", result.damage_party.party_degree, 1, 4)
+        if result.quadrant is not None:
+            _check_range(out, f"targets[{i}].quadrant", result.quadrant, 1, 4)
+    _validate_safety(out, report.safety)
+    if out:
+        raise ValueError(f"not a machine report: {out[0].path}: {out[0].message}")
+    return report
+
+
 _encode_str = json.encoder.encode_basestring
 _INFINITY = float("inf")
 
 
-class _NotCanonical(Exception):
-    """A value the fast writer leaves to json.dumps."""
-
-
 def _dump(obj: Any, newline: str) -> str:
-    # Type checks follow json's own encoder, so subclasses (str enums,
-    # int enums) come out exactly as json.dumps writes them.
+    # Type checks, key conversions and errors follow json's own encoder, so
+    # subclasses (str and int enums) and refused values come out as json's do.
     if isinstance(obj, str):
         return _encode_str(obj)
     if obj is None:
@@ -488,7 +513,7 @@ def _dump(obj: Any, newline: str) -> str:
         return int.__repr__(obj)
     if isinstance(obj, float):
         if obj != obj or obj == _INFINITY or obj == -_INFINITY:
-            raise _NotCanonical
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
         return float.__repr__(obj)
     inner = newline + "  "
     if isinstance(obj, (list, tuple)):
@@ -501,12 +526,14 @@ def _dump(obj: Any, newline: str) -> str:
         items = []
         for key, value in obj.items():
             if not isinstance(key, str):
-                raise _NotCanonical
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+                key = _dump(key, newline)
             items.append(_encode_str(key) + ": " + _dump(value, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if type(obj) in _WRITE_PLANS:
         return _write_document(obj, newline)
-    raise _NotCanonical
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _write_document(obj: Any, newline: str) -> str:
@@ -514,7 +541,7 @@ def _write_document(obj: Any, newline: str) -> str:
     # when it equals ``level``.
     inner = newline + "  "
     items = []
-    for key_text, get, default, write, _ in _WRITE_PLANS[type(obj)]:
+    for key_text, get, default, write in _WRITE_PLANS[type(obj)]:
         value = get(obj)
         if default is _MISSING or value != (obj.level if default is _LEVEL else default):
             items.append(key_text + write(value, inner))
@@ -523,7 +550,7 @@ def _write_document(obj: Any, newline: str) -> str:
     return "{" + inner + ("," + inner).join(items) + newline + "}"
 
 
-# Per document type: (encoded key, getter, default, writer, key) in document order.
+# Per document type: (encoded key, getter, default, writer) in document order.
 _WRITE_PLANS = {
     cls: tuple(
         (
@@ -531,25 +558,11 @@ _WRITE_PLANS = {
             attrgetter(path) if path else (lambda obj: SCHEMA_VERSION),
             default,
             _write_document if isinstance(kind, type) and kind in SCHEMA else _dump,
-            key,
         )
         for key, path, kind, default in _layout(cls)[0]
     )
     for cls in SCHEMA
 }
-
-
-def _document_object(obj: Any) -> dict:
-    # json.dumps hook, so the fallback below raises what json.dumps would
-    # raise for the document's own object form.
-    if type(obj) not in _WRITE_PLANS:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    out = {}
-    for _, get, default, _, key in _WRITE_PLANS[type(obj)]:
-        value = get(obj)
-        if default is _MISSING or value != (obj.level if default is _LEVEL else default):
-            out[key] = value
-    return out
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
@@ -558,18 +571,13 @@ def canonical_json_bytes(obj: Any) -> bytes:
     Document types (a profile, a report, and each of their parts) are
     written as their document objects.  The bytes are identical to
     ``(json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n")``
-    encoded as UTF-8, errors included: NaN and infinities raise ValueError,
-    and a lone surrogate raises UnicodeEncodeError.  Strings, numbers and
-    containers are written by a small recursive writer, because json.dumps
-    with an indent falls back to its pure-Python encoder; anything else
-    (non-string keys, non-finite floats, unknown types, very deep nesting)
-    goes to json.dumps itself.
+    encoded as UTF-8, and so are the errors, which this one writer raises
+    itself: NaN and infinities raise ValueError, a key or value of any
+    other type TypeError, and a lone surrogate UnicodeEncodeError.  Nesting
+    deeper than the recursion limit raises RecursionError, as json.dumps
+    with an indent does.
     """
-    try:
-        text = _dump(obj, "\n")
-    except (_NotCanonical, RecursionError):
-        text = json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False, default=_document_object)
-    return (text + "\n").encode("utf-8")
+    return (_dump(obj, "\n") + "\n").encode("utf-8")
 
 
 def serialize_assessment(profile: AssessmentProfile) -> bytes:

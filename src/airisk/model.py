@@ -82,7 +82,6 @@ class InteractionCategory(str, Enum):
 
 # Ordinal positions for the enums whose declaration order is meaningful.
 ATTENTION_RANK = {v: i for i, v in enumerate(AttentionInterval)}
-REPUTATIONAL_RANK = {v: i for i, v in enumerate(Reputational)}
 
 
 @dataclass(frozen=True)
@@ -223,6 +222,21 @@ def _validate_attention(out: list[Violation], att: HumanAttention) -> None:
             out.append(Violation(f"{prefix}.checks_per_day", "not allowed when mode is intermittent"))
 
 
+def _validate_intervention(out: list[Violation], ind: InterventionIndicators) -> None:
+    _check_range(out, "intervention.observability", ind.observability, 0, 5)
+    _validate_attention(out, ind.attention)
+    _check_range(out, "intervention.correctability", ind.correctability, 0, 5)
+
+
+def _validate_safety(out: list[Violation], safety: SafetyProfile) -> None:
+    for name, dim in safety.dimensions():
+        prefix = f"safety.{name}"
+        _check_range(out, f"{prefix}.level", dim.level, 0, 3)
+        _check_range(out, f"{prefix}.projected", dim.projected, 0, 3)
+        if dim.level > dim.projected:
+            out.append(Violation(f"{prefix}.projected", f"must be at least the current level {dim.level}"))
+
+
 def _validate_target(out: list[Violation], prefix: str, target: TargetAssessment) -> None:
     d = target.max_damage
     if d.monetary_usd is None and d.lives_at_risk is None and d.reputational is None:
@@ -257,11 +271,7 @@ def validate_profile(profile: AssessmentProfile) -> list[Violation]:
         satisfies every invariant.
     """
     out: list[Violation] = []
-    ind = profile.intervention
-    _check_range(out, "intervention.observability", ind.observability, 0, 5)
-    _validate_attention(out, ind.attention)
-    _check_range(out, "intervention.correctability", ind.correctability, 0, 5)
-
+    _validate_intervention(out, profile.intervention)
     if not profile.targets:
         out.append(Violation("targets", "at least one target is required"))
     seen: set[str] = set()
@@ -271,13 +281,7 @@ def validate_profile(profile: AssessmentProfile) -> list[Violation]:
             out.append(Violation(f"{prefix}.name", f"duplicate target name {target.name!r}"))
         seen.add(target.name)
         _validate_target(out, prefix, target)
-
-    for name, dim in profile.safety.dimensions():
-        prefix = f"safety.{name}"
-        _check_range(out, f"{prefix}.level", dim.level, 0, 3)
-        _check_range(out, f"{prefix}.projected", dim.projected, 0, 3)
-        if dim.level > dim.projected:
-            out.append(Violation(f"{prefix}.projected", f"must be at least the current level {dim.level}"))
+    _validate_safety(out, profile.safety)
     return out
 
 

@@ -1,10 +1,10 @@
-"""Rendering assessment results for people and for machines.
+"""Building reports from one decision pass, and rendering them.
 
 The text and markdown formats present the same content in the same order:
 profile header, intervention table, target table, safety levels, the seven
 findings, and a calibration footer listing every invented cutoff in effect.
-The machine format is the report's canonical JSON document, written and
-read through ``documents.SCHEMA``; it parses back to an equal RiskReport.
+The machine format is the report's canonical JSON document; ``documents``
+writes it and parses it back to an equal RiskReport.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from enum import Enum
 
-from .documents import _Decoder, _load_json, canonical_json_bytes, format_document_error
+from .documents import canonical_json_bytes, parse_machine_report  # the reader is exported here too
 from .model import (
     ATTENTION_RANK,
     AssessmentProfile,
@@ -23,15 +23,10 @@ from .model import (
     Reputational,
     SafetyProfile,
 )
-from .rules import MEASURE_LABELS, Finding, Measure, calibration_for, evaluate_rules
+from .rules import MEASURE_LABELS, Finding, Measure, evaluate_rules
 from .rules import Calibration, RiskReport, TargetResult  # defined with the rules; exported here too
-from .tables import (
-    DEFAULT_DAMAGE_THRESHOLDS,
-    DamageThresholds,
-    quadrant,
-    target_accident_risk,
-    target_damage_party,
-)
+from .tables import DEFAULT_DAMAGE_THRESHOLDS, DamageThresholds, quadrant
+from .tables import target_accident_risk, target_damage_party  # unused; perfbench/tracing.py patches both
 
 
 class ReportFormat(str, Enum):
@@ -89,8 +84,9 @@ def build_report(
         InvalidProfileError: if the profile fails validation.
     """
     findings = evaluate_rules(profile, thresholds)
+    facts = findings._facts  # the decision pass's lookups and calibration
     results = []
-    for target in profile.targets:
+    for target, risk, party in zip(profile.targets, facts.risks, facts.parties):
         q = None
         if target.position is not None:
             q = quadrant(target.position.gap, target.position.energy)
@@ -98,8 +94,8 @@ def build_report(
             TargetResult(
                 name=target.name,
                 max_damage_text=format_max_damage(target.max_damage),
-                accident_risk=target_accident_risk(target),
-                damage_party=target_damage_party(target),
+                accident_risk=risk,
+                damage_party=party,
                 quadrant=q,
             )
         )
@@ -109,7 +105,7 @@ def build_report(
         target_results=tuple(results),
         safety=profile.safety,
         rule_findings=findings,
-        calibration=calibration_for(thresholds),
+        calibration=facts.cal,
     )
 
 
@@ -285,18 +281,3 @@ def render_report(report: RiskReport, format: ReportFormat | str, *, color: bool
     if fmt is ReportFormat.MARKDOWN:
         return _render_markdown(report).encode("utf-8")
     return _render_text(report, color).encode("utf-8")
-
-
-def parse_machine_report(data: bytes | str) -> RiskReport:
-    """Rebuild a RiskReport from machine-format bytes or text.
-
-    The document must match the report's schema exactly: a wrong type, a
-    missing or unknown field, or bytes that are not JSON raise ValueError,
-    which names the first problem's path.
-    """
-    dec = _Decoder(strict=True)
-    obj = _load_json(data, dec)
-    report = None if dec.errors else dec.decode(RiskReport, obj, "")
-    if dec.errors:
-        raise ValueError(f"not a machine report: {format_document_error(dec.errors[0])}")
-    return report

@@ -266,8 +266,6 @@ RULES: tuple[RuleDefinition, ...] = (
     ),
 )
 
-RULES_BY_ID: dict[RuleId, RuleDefinition] = {r.id: r for r in RULES}
-
 
 def _prose_join(items: list[str]) -> str:
     if len(items) <= 2:

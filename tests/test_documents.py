@@ -286,6 +286,20 @@ def test_canonical_bytes_equal_json_dumps(roomba, hal9000, tay):
         assert canonical_json_bytes(obj) == json_dumps_bytes(obj)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [[object()], {(1, 2): 1}, {float("nan"): 1}, {"x": -float("inf")}],
+    ids=["unknown-type", "tuple-key", "nan-key", "negative-infinity"],
+)
+def test_canonical_bytes_raise_what_json_dumps_raises(obj):
+    with pytest.raises(Exception) as expected:
+        json_dumps_bytes(obj)
+    with pytest.raises(expected.type) as raised:
+        canonical_json_bytes(obj)
+    assert type(raised.value) is expected.type
+    assert str(raised.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_canonical_bytes_refuse_non_finite_numbers(bad):
     with pytest.raises(ValueError):

@@ -248,11 +248,41 @@ def test_an_unknown_key_is_rejected_at_every_level(path):
         (("findings", 2, "targets"), "Robot Movement"),
         (("findings", 0, "measures", 1), "monitoring"),
         (("calibration", "very_small_time_delays", 0), "instant"),
+        # Well typed, but outside the field's range.
+        (("targets", 0, "quadrant"), 7),
+        (("targets", 0, "quadrant"), 0),
+        (("targets", 1, "party_degree"), -3),
+        (("targets", 0, "party_degree"), 5),
+        (("intervention", "observability"), 99),
+        (("intervention", "correctability"), -1),
+        (("safety", "autonomy", "level"), 5),
+        (("safety", "escape_potential", "projected"), 4),
     ],
 )
 def test_plausible_but_wrong_values_are_rejected(path, value):
     with pytest.raises(ValueError, match=re.escape(f" {_dotted(path)}: ")):
         parse_machine_report(_with(_report_object(), path, value))
+
+
+def test_range_problems_carry_the_validators_messages_first_in_document_order():
+    doc = _report_object()
+    doc["safety"]["autonomy"]["level"] = 5
+    doc["targets"][0]["quadrant"] = 7
+    with pytest.raises(ValueError) as exc:
+        parse_machine_report(json.dumps(doc))
+    assert str(exc.value) == "not a machine report: targets[0].quadrant: must be between 1 and 4, got 7"
+    doc["intervention"]["observability"] = 99
+    with pytest.raises(ValueError) as exc:
+        parse_machine_report(json.dumps(doc))
+    assert str(exc.value) == "not a machine report: intervention.observability: must be between 0 and 5, got 99"
+    del doc["intervention"]["observability"]  # a decode error comes before any range
+    with pytest.raises(ValueError, match=re.escape(" intervention.observability: required field is missing")):
+        parse_machine_report(json.dumps(doc))
+    doc = _report_object()
+    del doc["intervention"]["attention"]["interval"]
+    with pytest.raises(ValueError) as exc:
+        parse_machine_report(json.dumps(doc))
+    assert str(exc.value) == "not a machine report: intervention.attention.interval: required when mode is intermittent"
 
 
 def test_out_of_order_thresholds_name_their_object():
