@@ -35,7 +35,6 @@ from .model import (
     KnowledgeGap,
     Reputational,
     TimeDelay,
-    Violation,
     validate_profile,
 )
 from .report import ReportFormat, _md_table, _measures_text, build_report, format_usd, render_report
@@ -118,25 +117,24 @@ def _load_profile(path: str, strict: bool):
     try:
         profile = parse_assessment(data, strict=strict, validate=False, warnings=warnings)
     except AssessmentDocumentError as e:
-        for err in e.errors:
-            _eprint(f"{path}: {format_document_error(err)}")
+        _print_errors(path, e.errors)
         return None, ExitStatus.DOCUMENT
-    for warning in warnings:
-        _eprint(f"{path}: warning: {format_document_error(warning)}")
+    _print_errors(path, warnings, "warning: ")
     return profile, None
 
 
-def _report_violations(path: str, violations: list[Violation]) -> ExitStatus:
-    for v in violations:
-        _eprint(f"{path}: {v.path}: {v.message}")
-    return ExitStatus.INVALID if violations else ExitStatus.OK
+def _print_errors(path: str, errors: list[DocumentError], prefix: str = "") -> None:
+    for err in errors:
+        _eprint(f"{path}: {prefix}{format_document_error(err)}")
 
 
 def cmd_validate(args) -> ExitStatus:
     profile, status = _load_profile(args.path, args.strict)
     if profile is None:
         return status
-    return _report_violations(args.path, validate_profile(profile))
+    violations = validate_profile(profile)
+    _print_errors(args.path, violations)
+    return ExitStatus.INVALID if violations else ExitStatus.OK
 
 
 def cmd_assess(args) -> ExitStatus:
@@ -146,7 +144,8 @@ def cmd_assess(args) -> ExitStatus:
     try:
         report = build_report(profile, args.damage_thresholds)
     except InvalidProfileError as e:
-        return _report_violations(args.path, e.violations)
+        _print_errors(args.path, e.violations)
+        return ExitStatus.INVALID
     color = (
         args.format == ReportFormat.TEXT.value
         and args.out is None

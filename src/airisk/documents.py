@@ -12,15 +12,19 @@ default values, so equal profiles always produce identical bytes.
 Object keys equal to ``//`` are annotations for human readers; parsers
 skip them in both modes and the serializer never emits them.
 
-Parsing never partially succeeds: the decoder accumulates every problem it
-can find, and the first of them or the full list is raised.
+Parsing never partially succeeds.  Every problem is a ``DocumentError``
+(defined in ``model``, which ``validate_profile`` shares): the decoder's, then,
+for a document that decodes, its invariant violations, all in one list.
+``parse_assessment`` raises the full list and ``parse_machine_report`` the
+first problem.  A machine report must also be one the engine could have
+written: seven findings in rule order, each with its rule's measures and
+targets, and the calibration the rules evaluate for its damage thresholds.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable
@@ -30,7 +34,9 @@ from .model import (
     AssessmentProfile,
     AttentionInterval,
     AttentionMode,
+    DocumentError,
     EnergyLevel,
+    ErrorKind,
     HumanAttention,
     InterventionIndicators,
     KnowledgeGap,
@@ -44,40 +50,28 @@ from .model import (
     _check_range,
     _validate_intervention,
     _validate_safety,
+    _violation,
+    format_document_error,
     validate_profile,
 )
-from .rules import Calibration, Finding, Measure, RiskReport, RuleDefinition, RuleId, RuleReport, TargetResult
+from .rules import (
+    _TARGET_RULES,
+    RULES,
+    Calibration,
+    Finding,
+    Measure,
+    RiskReport,
+    RuleDefinition,
+    RuleId,
+    RuleReport,
+    TargetResult,
+    calibration_for,
+)
 from .tables import DamageClass, DamagePartyProfile, DamageThresholds, RiskLevel
 
 COMMENT_KEY = "//"
 
 _MISSING = object()
-
-
-class ErrorKind(str, Enum):
-    SYNTAX = "syntax"
-    UNKNOWN_FIELD = "unknown_field"
-    MISSING_FIELD = "missing_field"
-    TYPE_MISMATCH = "type_mismatch"
-    INVARIANT_VIOLATION = "invariant_violation"
-
-
-@dataclass(frozen=True)
-class DocumentError:
-    """One problem found while decoding a document."""
-
-    kind: ErrorKind
-    path: str
-    message: str
-    line: int | None = None
-
-
-def format_document_error(err: DocumentError) -> str:
-    """One-line diagnostic, e.g. "intervention.observability: must be an integer"."""
-    body = err.message if err.path in ("", "$") else f"{err.path}: {err.message}"
-    if err.line is not None:
-        return f"line {err.line}: {body}"
-    return body
 
 
 class AssessmentDocumentError(Exception):
@@ -460,16 +454,11 @@ def parse_assessment(
         AssessmentDocumentError: carrying every DocumentError found.
     """
     profile, dec = _read(AssessmentProfile, data, strict)
-    if dec.errors:
-        raise AssessmentDocumentError(dec.errors)
-    if warnings is not None:
+    if warnings is not None and not dec.errors:
         warnings.extend(dec.warnings)
-    if validate:
-        violations = validate_profile(profile)
-        if violations:
-            raise AssessmentDocumentError(
-                [DocumentError(ErrorKind.INVARIANT_VIOLATION, v.path, v.message) for v in violations]
-            )
+    errors = dec.errors or (validate_profile(profile) if validate else [])
+    if errors:
+        raise AssessmentDocumentError(errors)
     return profile
 
 
@@ -477,21 +466,57 @@ def parse_machine_report(data: bytes | str) -> RiskReport:
     """Rebuild a RiskReport from machine-format bytes or text.
 
     ValueError names the first problem and its path: bytes that are not JSON,
-    a missing, unknown or wrong-typed field, or a value outside its range.
+    a missing, unknown or wrong-typed field, a value outside its range, a
+    finding that is not its rule's, or a calibration the rules do not evaluate.
     """
     report, dec = _read(RiskReport, data, True)
-    if dec.errors:
-        raise ValueError(f"not a machine report: {format_document_error(dec.errors[0])}")
-    out = []
-    _validate_intervention(out, report.intervention)
-    for i, result in enumerate(report.target_results):
-        _check_range(out, f"targets[{i}].party_degree", result.damage_party.party_degree, 1, 4)
-        if result.quadrant is not None:
-            _check_range(out, f"targets[{i}].quadrant", result.quadrant, 1, 4)
-    _validate_safety(out, report.safety)
-    if out:
-        raise ValueError(f"not a machine report: {out[0].path}: {out[0].message}")
+    errors = dec.errors
+    if report is not None:  # decoded; now its invariants, in document order
+        _validate_intervention(errors, report.intervention)
+        for i, result in enumerate(report.target_results):
+            _check_range(errors, f"targets[{i}].party_degree", result.damage_party.party_degree, 1, 4)
+            if result.quadrant is not None:
+                _check_range(errors, f"targets[{i}].quadrant", result.quadrant, 1, 4)
+        _validate_safety(errors, report.safety)
+        _check_findings(errors, report)
+        _check_calibration(errors, report.calibration)
+    if errors:
+        raise ValueError(f"not a machine report: {format_document_error(errors[0])}")
     return report
+
+
+def _check_findings(out: list[DocumentError], report: RiskReport) -> None:
+    """One finding per rule, in rule order; a triggered one carries its rule's
+    measures, and only a triggered R3-R5 names targets, each of the report's."""
+    findings = report.rule_findings.findings
+    if len(findings) != len(RULES):
+        out.append(_violation("findings", f"must hold one finding per rule, {len(RULES)} in all, got {len(findings)}"))
+    names = {result.name for result in report.target_results}
+    for i, (rule, finding) in enumerate(zip(RULES, findings)):
+        path = f"findings[{i}]"
+        if finding.rule is not rule.id:
+            out.append(_violation(f"{path}.rule", f"must be {rule.id.value}, in rule order"))
+        if finding.triggered and finding.measures != rule.measures:
+            out.append(_violation(f"{path}.measures", f"must be the measures of {rule.id.value}"))
+        elif not finding.triggered and finding.measures:
+            out.append(_violation(f"{path}.measures", "must be empty when the rule is not triggered"))
+        if finding.triggered and rule.id in _TARGET_RULES:
+            if not finding.targets_involved:
+                out.append(_violation(f"{path}.targets", "must name the targets that trigger the rule"))
+        elif finding.targets_involved:
+            out.append(_violation(f"{path}.targets", "must be empty unless R3, R4 or R5 is triggered"))
+        for j, name in enumerate(finding.targets_involved):
+            if name not in names:
+                out.append(_violation(f"{path}.targets[{j}]", f"must name one of the report's targets, got {name!r}"))
+
+
+def _check_calibration(out: list[DocumentError], cal: Calibration) -> None:
+    """The rules evaluate one calibration per set of damage thresholds."""
+    expected = calibration_for(cal.damage_thresholds)
+    for key, *_ in SCHEMA[Calibration]:
+        want = getattr(expected, key)
+        if getattr(cal, key) != want:
+            out.append(_violation(f"calibration.{key}", f"must be {json.dumps(want)}, the value the rules evaluate"))
 
 
 _encode_str = json.encoder.encode_basestring

@@ -8,6 +8,9 @@ Constructors accept out-of-range values on purpose.  ``validate_profile``
 is the single authority on invariants and reports every violation at once,
 so callers can surface all problems in one pass instead of fixing them one
 at a time.
+
+Every diagnostic, the validator's and the document decoder's alike, is a
+``DocumentError`` (kind, path, message, line); ``format_document_error`` prints it.
 """
 
 from __future__ import annotations
@@ -182,103 +185,123 @@ class AssessmentProfile:
     schema_version: int = SCHEMA_VERSION
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed invariant: where it failed and why."""
+class ErrorKind(str, Enum):
+    SYNTAX = "syntax"
+    UNKNOWN_FIELD = "unknown_field"
+    MISSING_FIELD = "missing_field"
+    TYPE_MISMATCH = "type_mismatch"
+    INVARIANT_VIOLATION = "invariant_violation"
 
+
+@dataclass(frozen=True)
+class DocumentError:
+    """One problem found in a document or a profile: its kind, where, and why."""
+
+    kind: ErrorKind
     path: str
     message: str
+    line: int | None = None
+
+
+def format_document_error(err: DocumentError) -> str:
+    """One-line diagnostic, e.g. "intervention.observability: must be an integer"."""
+    body = err.message if err.path in ("", "$") else f"{err.path}: {err.message}"
+    if err.line is not None:
+        return f"line {err.line}: {body}"
+    return body
 
 
 class InvalidProfileError(ValueError):
     """Raised when an operation requires a profile that passes validation."""
 
-    def __init__(self, violations: list[Violation]):
+    def __init__(self, violations: list[DocumentError]):
         self.violations = list(violations)
-        detail = "; ".join(f"{v.path}: {v.message}" for v in self.violations)
+        detail = "; ".join(map(format_document_error, self.violations))
         super().__init__(f"invalid assessment profile: {detail}")
 
 
-def _check_range(out: list[Violation], path: str, value: float, lo: int, hi: int) -> bool:
+def _violation(path: str, message: str) -> DocumentError:
+    return DocumentError(ErrorKind.INVARIANT_VIOLATION, path, message)
+
+
+def _check_range(out: list[DocumentError], path: str, value: float, lo: int, hi: int) -> None:
     if not lo <= value <= hi:
-        out.append(Violation(path, f"must be between {lo} and {hi}, got {value!r}"))
-        return False
-    return True
+        out.append(_violation(path, f"must be between {lo} and {hi}, got {value!r}"))
 
 
-def _validate_attention(out: list[Violation], att: HumanAttention) -> None:
+def _validate_attention(out: list[DocumentError], att: HumanAttention) -> None:
     prefix = "intervention.attention"
     if att.mode is AttentionMode.PERIODIC:
         if att.checks_per_day is None:
-            out.append(Violation(f"{prefix}.checks_per_day", "required when mode is periodic"))
+            out.append(_violation(f"{prefix}.checks_per_day", "required when mode is periodic"))
         elif att.checks_per_day < 1:
-            out.append(Violation(f"{prefix}.checks_per_day", f"must be at least 1, got {att.checks_per_day!r}"))
+            out.append(_violation(f"{prefix}.checks_per_day", f"must be at least 1, got {att.checks_per_day!r}"))
         if att.interval is not None:
-            out.append(Violation(f"{prefix}.interval", "not allowed when mode is periodic"))
+            out.append(_violation(f"{prefix}.interval", "not allowed when mode is periodic"))
     else:
         if att.interval is None:
-            out.append(Violation(f"{prefix}.interval", "required when mode is intermittent"))
+            out.append(_violation(f"{prefix}.interval", "required when mode is intermittent"))
         if att.checks_per_day is not None:
-            out.append(Violation(f"{prefix}.checks_per_day", "not allowed when mode is intermittent"))
+            out.append(_violation(f"{prefix}.checks_per_day", "not allowed when mode is intermittent"))
 
 
-def _validate_intervention(out: list[Violation], ind: InterventionIndicators) -> None:
+def _validate_intervention(out: list[DocumentError], ind: InterventionIndicators) -> None:
     _check_range(out, "intervention.observability", ind.observability, 0, 5)
     _validate_attention(out, ind.attention)
     _check_range(out, "intervention.correctability", ind.correctability, 0, 5)
 
 
-def _validate_safety(out: list[Violation], safety: SafetyProfile) -> None:
+def _validate_safety(out: list[DocumentError], safety: SafetyProfile) -> None:
     for name, dim in safety.dimensions():
         prefix = f"safety.{name}"
         _check_range(out, f"{prefix}.level", dim.level, 0, 3)
         _check_range(out, f"{prefix}.projected", dim.projected, 0, 3)
         if dim.level > dim.projected:
-            out.append(Violation(f"{prefix}.projected", f"must be at least the current level {dim.level}"))
+            out.append(_violation(f"{prefix}.projected", f"must be at least the current level {dim.level}"))
 
 
-def _validate_target(out: list[Violation], prefix: str, target: TargetAssessment) -> None:
+def _validate_target(out: list[DocumentError], prefix: str, target: TargetAssessment) -> None:
     d = target.max_damage
     if d.monetary_usd is None and d.lives_at_risk is None and d.reputational is None:
         out.append(
-            Violation(
+            _violation(
                 f"{prefix}.max_damage",
                 "at least one of monetary_usd, lives_at_risk, reputational must be declared",
             )
         )
     if d.monetary_usd is not None and not 0 <= d.monetary_usd < inf:  # NaN fails both
         bound = "be a finite number" if d.monetary_usd == inf else "be non-negative"
-        out.append(Violation(f"{prefix}.max_damage.monetary_usd", f"must {bound}, got {d.monetary_usd!r}"))
+        out.append(_violation(f"{prefix}.max_damage.monetary_usd", f"must {bound}, got {d.monetary_usd!r}"))
     if d.lives_at_risk is not None and d.lives_at_risk < 0:
-        out.append(Violation(f"{prefix}.max_damage.lives_at_risk", f"must be non-negative, got {d.lives_at_risk!r}"))
+        out.append(_violation(f"{prefix}.max_damage.lives_at_risk", f"must be non-negative, got {d.lives_at_risk!r}"))
     _check_range(out, f"{prefix}.coupling", target.coupling, 1, 5)
     _check_range(out, f"{prefix}.interaction_complexity", target.interaction_complexity, 1, 5)
     if target.position is not None:
         for axis in ("gap", "energy"):
             value = getattr(target.position, axis)
             if not 0 <= value <= 1:
-                out.append(Violation(f"{prefix}.position.{axis}", f"must be between 0 and 1, got {value!r}"))
+                out.append(_violation(f"{prefix}.position.{axis}", f"must be between 0 and 1, got {value!r}"))
 
 
-def validate_profile(profile: AssessmentProfile) -> list[Violation]:
+def validate_profile(profile: AssessmentProfile) -> list[DocumentError]:
     """Check every invariant of the profile and report all violations.
 
     Args:
         profile: any structurally well-formed profile, valid or not.
 
     Returns:
-        All violations in deterministic field order; empty iff the profile
-        satisfies every invariant.
+        All violations as INVARIANT_VIOLATION DocumentErrors in deterministic
+        field order; empty iff the profile satisfies every invariant.
     """
-    out: list[Violation] = []
+    out: list[DocumentError] = []
     _validate_intervention(out, profile.intervention)
     if not profile.targets:
-        out.append(Violation("targets", "at least one target is required"))
+        out.append(_violation("targets", "at least one target is required"))
     seen: set[str] = set()
     for i, target in enumerate(profile.targets):
         prefix = f"targets[{i}]"
         if target.name in seen:
-            out.append(Violation(f"{prefix}.name", f"duplicate target name {target.name!r}"))
+            out.append(_violation(f"{prefix}.name", f"duplicate target name {target.name!r}"))
         seen.add(target.name)
         _validate_target(out, prefix, target)
     _validate_safety(out, profile.safety)

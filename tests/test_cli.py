@@ -10,7 +10,7 @@ import pytest
 
 from airisk import accident_risk, damage_and_party
 
-from conftest import FIXTURES, GOLDEN, run_cli, write_doc
+from conftest import BROKEN_HAL_VIOLATIONS, FIXTURES, GOLDEN, run_cli, write_doc
 
 
 def test_assess_matches_the_frozen_reports():
@@ -72,6 +72,21 @@ def test_validate_reports_each_violation(tmp_path, roomba_doc):
     # violations, one diagnostic line each.
     assert "safety.autonomy.projected" in stderr
     assert len(stderr.splitlines()) == 3
+
+
+def test_diagnostics_are_pinned_byte_for_byte(tmp_path, broken_hal_doc):
+    path = write_doc(tmp_path / "bad.json", broken_hal_doc)
+    unknown = f"{path}: zz_extra: unknown field\n".encode("utf-8")
+    lines = ["warning: zz_extra: unknown field", *BROKEN_HAL_VIOLATIONS]
+    relaxed = "".join(f"{path}: {line}\n" for line in lines).encode("utf-8")
+    for command, flags, status, stderr in (
+        ("validate", (), 2, unknown),
+        ("validate", ("--no-strict",), 1, relaxed),
+        ("assess", (), 1, relaxed),
+        ("assess", ("--strict",), 2, unknown),
+    ):
+        result = run_cli(command, str(path), *flags)
+        assert (result.returncode, result.stdout, result.stderr) == (status, b"", stderr), (command, flags)
 
 
 def test_assess_refuses_invalid_profiles(tmp_path, roomba_doc):

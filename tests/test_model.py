@@ -1,13 +1,17 @@
 """Invariant checks, score banding, and attention collapsing."""
 
 import dataclasses
+import json
 
 import pytest
 
 from airisk import (
+    AssessmentDocumentError,
     AttentionInterval,
     AttentionMode,
     CouplingCategory,
+    DocumentError,
+    ErrorKind,
     HumanAttention,
     InteractionCategory,
     InvalidProfileError,
@@ -19,8 +23,11 @@ from airisk import (
     build_report,
     coupling_category,
     interaction_category,
+    parse_assessment,
     validate_profile,
 )
+
+from conftest import BROKEN_HAL_VIOLATIONS
 
 
 def test_fixture_profiles_are_valid(roomba, hal9000, tay):
@@ -150,6 +157,28 @@ def test_all_violations_reported_at_once(roomba):
     ind = dataclasses.replace(roomba.intervention, observability=9, correctability=9)
     profile = dataclasses.replace(roomba, intervention=ind, targets=())
     assert len(validate_profile(profile)) == 3
+
+
+def test_invalid_profile_error_joins_every_violation_in_order(broken_hal_doc):
+    profile = parse_assessment(json.dumps(broken_hal_doc), validate=False)
+    with pytest.raises(InvalidProfileError) as exc:
+        build_report(profile)
+    assert str(exc.value) == "invalid assessment profile: " + "; ".join(BROKEN_HAL_VIOLATIONS)
+
+
+def test_violations_are_invariant_document_errors(broken_hal_doc):
+    data = json.dumps(broken_hal_doc)
+    violations = validate_profile(parse_assessment(data, validate=False))
+    assert len(violations) == len(BROKEN_HAL_VIOLATIONS)
+    for v in violations:
+        assert type(v) is DocumentError
+        assert (v.kind, v.line) == (ErrorKind.INVARIANT_VIOLATION, None)
+    with pytest.raises(InvalidProfileError) as exc:
+        build_report(parse_assessment(data, validate=False))
+    assert exc.value.violations == violations
+    with pytest.raises(AssessmentDocumentError) as exc:
+        parse_assessment(data)
+    assert list(exc.value.errors) == violations
 
 
 def test_omitted_projection_defaults_to_current_level():

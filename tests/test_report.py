@@ -140,9 +140,10 @@ def test_markdown_render_escapes_pipes(roomba):
 
 def test_machine_render_round_trips(roomba, hal9000, tay):
     for profile in (roomba, hal9000, tay):
-        report = build_report(profile)
-        data = render_report(report, "machine")
-        assert parse_machine_report(data) == report
+        for thresholds in (DEFAULT_DAMAGE_THRESHOLDS, DamageThresholds(1, 2.5, 3, 4)):
+            report = build_report(profile, thresholds)
+            data = render_report(report, "machine")
+            assert parse_machine_report(data) == report
 
 
 def test_machine_render_is_deterministic(tay):
@@ -257,6 +258,20 @@ def test_an_unknown_key_is_rejected_at_every_level(path):
         (("intervention", "correctability"), -1),
         (("safety", "autonomy", "level"), 5),
         (("safety", "escape_potential", "projected"), 4),
+        # Well typed, but not what the rules decide or evaluate.
+        (("findings", 1, "measures"), ["ethics_board"]),
+        (("findings", 0, "measures"), ["oversight_component"]),
+        (("findings", 3, "rule"), "R5"),
+        (("findings", 2, "targets"), []),
+        (("findings", 0, "targets"), ["Robot Movement"]),
+        (("findings", 2, "targets", 0), "Nobody"),
+        (("calibration", "poor_observability_max"), -5),
+        (("calibration", "poor_observability_max"), 99),
+        (("calibration", "safety_critical_level"), 99),
+        (("calibration", "very_small_time_delays"), ["seconds"]),
+        (("calibration", "poor_attention_min"), "weeks"),
+        (("calibration", "high_damage_min"), "Major"),
+        (("calibration", "quadrant_convention"), "x"),
     ],
 )
 def test_plausible_but_wrong_values_are_rejected(path, value):
@@ -283,6 +298,56 @@ def test_range_problems_carry_the_validators_messages_first_in_document_order():
     with pytest.raises(ValueError) as exc:
         parse_machine_report(json.dumps(doc))
     assert str(exc.value) == "not a machine report: intervention.attention.interval: required when mode is intermittent"
+
+
+def _rejection(doc: dict) -> str:
+    with pytest.raises(ValueError) as exc:
+        parse_machine_report(json.dumps(doc))
+    return str(exc.value).removeprefix("not a machine report: ")
+
+
+def test_findings_must_be_the_seven_rules_as_decided():
+    doc = _report_object()
+    doc["findings"].reverse()
+    assert _rejection(doc) == "findings[0].rule: must be R1, in rule order"
+    doc = _report_object()
+    del doc["findings"][2:]
+    assert _rejection(doc) == "findings: must hold one finding per rule, 7 in all, got 2"
+    doc = _report_object()
+    doc["findings"][1]["measures"] = ["ethics_board"]
+    assert _rejection(doc) == "findings[1].measures: must be empty when the rule is not triggered"
+    doc["findings"][1]["triggered"] = True
+    del doc["findings"][1]["measures"]
+    assert _rejection(doc) == "findings[1].measures: must be the measures of R2"
+    doc = _report_object()
+    doc["findings"][2]["targets"] = ["Robot Movement", "Kitchen"]
+    assert _rejection(doc) == "findings[2].targets[1]: must name one of the report's targets, got 'Kitchen'"
+    doc["findings"][4].update(triggered=True, measures=["conventional_safeguards_human_oversight"])
+    assert _rejection(doc) == "findings[2].targets[1]: must name one of the report's targets, got 'Kitchen'"
+    doc["findings"][2]["targets"] = ["Robot Movement"]
+    assert _rejection(doc) == "findings[4].targets: must name the targets that trigger the rule"
+
+
+def test_the_calibration_must_be_the_one_the_rules_evaluate(roomba):
+    doc = _report_object()
+    doc["calibration"]["poor_observability_max"] = -5
+    doc["calibration"]["safety_critical_level"] = 99
+    assert _rejection(doc) == "calibration.poor_observability_max: must be 2, the value the rules evaluate"
+    doc["findings"][1]["triggered"] = True  # findings come first, in document order
+    assert _rejection(doc) == "findings[1].measures: must be the measures of R2"
+    doc["intervention"]["observability"] = 99  # and the existing ranges before them
+    assert _rejection(doc) == "intervention.observability: must be between 0 and 5, got 99"
+    doc = _report_object()
+    doc["calibration"]["very_small_time_delays"] = ["seconds"]
+    expected = 'calibration.very_small_time_delays: must be ["milliseconds", "seconds"], the value the rules evaluate'
+    assert _rejection(doc) == expected
+    # Custom thresholds carry the default cutoffs with them.
+    thresholds = DamageThresholds(1, 2, 3, 4)
+    data = render_report(build_report(roomba, thresholds), "machine")
+    assert parse_machine_report(data).calibration == calibration_for(thresholds)
+    doc = json.loads(data)
+    doc["calibration"]["significant_party_min"] = 4
+    assert _rejection(doc) == "calibration.significant_party_min: must be 3, the value the rules evaluate"
 
 
 def test_out_of_order_thresholds_name_their_object():
@@ -336,7 +401,10 @@ def test_machine_parser_gives_a_report_or_value_error_on_mutated_reports():
     rng = random.Random(606)
     reports = [render_report(build_report(random_profile(rng)), "machine") for _ in range(25)]
     outcomes = {RiskReport: 0, ValueError: 0}
-    for i in range(2000):
+    # Most edits to a finding or the calibration now make a report that
+    # contradicts itself, which the parser rejects; 4000 cases keep more
+    # than 50 that parse.
+    for i in range(4000):
         data = _mutated_report(rng, reports)
         try:
             parsed = parse_machine_report(data)
@@ -348,7 +416,7 @@ def test_machine_parser_gives_a_report_or_value_error_on_mutated_reports():
         assert isinstance(parsed, RiskReport), f"case {i}"
         outcomes[RiskReport] += 1
     # Both outcomes occur, so the mutations reach past the JSON layer.
-    assert outcomes[RiskReport] > 50 and outcomes[ValueError] > 1000, outcomes
+    assert outcomes[RiskReport] > 50 and outcomes[ValueError] > 2000, outcomes
 
 
 def test_unknown_format_is_rejected(roomba):
