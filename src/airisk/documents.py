@@ -47,9 +47,10 @@ from .model import (
     SafetyProfile,
     TargetAssessment,
     TimeDelay,
-    _check_range,
+    _out_of_range,
     _validate_intervention,
     _validate_safety,
+    _validate_targets,
     _violation,
     format_document_error,
     validate_profile,
@@ -79,10 +80,12 @@ class AssessmentDocumentError(Exception):
 
     def __init__(self, errors: list[DocumentError]):
         self.errors = tuple(errors)
-        summary = "; ".join(format_document_error(e) for e in self.errors[:3])
+
+    def __str__(self) -> str:  # built only when shown: most rejections are never printed
+        summary = "; ".join(map(format_document_error, self.errors[:3]))
         if len(self.errors) > 3:
             summary += f" (+{len(self.errors) - 3} more)"
-        super().__init__(summary)
+        return summary
 
 
 # -- the schema: each document type's fields in document order --
@@ -466,23 +469,28 @@ def parse_machine_report(data: bytes | str) -> RiskReport:
     """Rebuild a RiskReport from machine-format bytes or text.
 
     ValueError names the first problem and its path: bytes that are not JSON,
-    a missing, unknown or wrong-typed field, a value outside its range, a
-    finding that is not its rule's, or a calibration the rules do not evaluate.
+    a missing, unknown or wrong-typed field, a value outside its range, an
+    empty target list or a repeated target name, a finding that is not its
+    rule's, or a calibration the rules do not evaluate.
     """
     report, dec = _read(RiskReport, data, True)
     errors = dec.errors
     if report is not None:  # decoded; now its invariants, in document order
         _validate_intervention(errors, report.intervention)
-        for i, result in enumerate(report.target_results):
-            _check_range(errors, f"targets[{i}].party_degree", result.damage_party.party_degree, 1, 4)
-            if result.quadrant is not None:
-                _check_range(errors, f"targets[{i}].quadrant", result.quadrant, 1, 4)
+        _validate_targets(errors, report.target_results, _check_target_result)
         _validate_safety(errors, report.safety)
         _check_findings(errors, report)
         _check_calibration(errors, report.calibration)
     if errors:
         raise ValueError(f"not a machine report: {format_document_error(errors[0])}")
     return report
+
+
+def _check_target_result(out: list[DocumentError], i: int, result: TargetResult) -> None:
+    if not 1 <= result.damage_party.party_degree <= 4:
+        out.append(_out_of_range(f"targets[{i}].party_degree", result.damage_party.party_degree, 1, 4))
+    if result.quadrant is not None and not 1 <= result.quadrant <= 4:
+        out.append(_out_of_range(f"targets[{i}].quadrant", result.quadrant, 1, 4))
 
 
 def _check_findings(out: list[DocumentError], report: RiskReport) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import inf
+from typing import Callable
 
 SCHEMA_VERSION = 1
 
@@ -224,9 +225,9 @@ def _violation(path: str, message: str) -> DocumentError:
     return DocumentError(ErrorKind.INVARIANT_VIOLATION, path, message)
 
 
-def _check_range(out: list[DocumentError], path: str, value: float, lo: int, hi: int) -> None:
-    if not lo <= value <= hi:
-        out.append(_violation(path, f"must be between {lo} and {hi}, got {value!r}"))
+# Each check compares inline, and builds its path and message only on failure.
+def _out_of_range(path: str, value: float, lo: int, hi: int) -> DocumentError:
+    return _violation(path, f"must be between {lo} and {hi}, got {value!r}")
 
 
 def _validate_attention(out: list[DocumentError], att: HumanAttention) -> None:
@@ -246,41 +247,55 @@ def _validate_attention(out: list[DocumentError], att: HumanAttention) -> None:
 
 
 def _validate_intervention(out: list[DocumentError], ind: InterventionIndicators) -> None:
-    _check_range(out, "intervention.observability", ind.observability, 0, 5)
+    if not 0 <= ind.observability <= 5:
+        out.append(_out_of_range("intervention.observability", ind.observability, 0, 5))
     _validate_attention(out, ind.attention)
-    _check_range(out, "intervention.correctability", ind.correctability, 0, 5)
+    if not 0 <= ind.correctability <= 5:
+        out.append(_out_of_range("intervention.correctability", ind.correctability, 0, 5))
 
 
 def _validate_safety(out: list[DocumentError], safety: SafetyProfile) -> None:
     for name, dim in safety.dimensions():
-        prefix = f"safety.{name}"
-        _check_range(out, f"{prefix}.level", dim.level, 0, 3)
-        _check_range(out, f"{prefix}.projected", dim.projected, 0, 3)
+        if not 0 <= dim.level <= 3:
+            out.append(_out_of_range(f"safety.{name}.level", dim.level, 0, 3))
+        if not 0 <= dim.projected <= 3:
+            out.append(_out_of_range(f"safety.{name}.projected", dim.projected, 0, 3))
         if dim.level > dim.projected:
-            out.append(_violation(f"{prefix}.projected", f"must be at least the current level {dim.level}"))
+            out.append(_violation(f"safety.{name}.projected", f"must be at least the current level {dim.level}"))
 
 
-def _validate_target(out: list[DocumentError], prefix: str, target: TargetAssessment) -> None:
+def _validate_targets(out: list[DocumentError], targets: tuple, check: Callable) -> None:
+    """The target list's own checks, with ``check(out, i, target)`` run on
+    each target after its name; a profile's and a machine report's share them."""
+    if not targets:
+        out.append(_violation("targets", "at least one target is required"))
+    seen: set[str] = set()
+    for i, target in enumerate(targets):
+        if target.name in seen:
+            out.append(_violation(f"targets[{i}].name", f"duplicate target name {target.name!r}"))
+        seen.add(target.name)
+        check(out, i, target)
+
+
+def _validate_target(out: list[DocumentError], i: int, target: TargetAssessment) -> None:
     d = target.max_damage
     if d.monetary_usd is None and d.lives_at_risk is None and d.reputational is None:
-        out.append(
-            _violation(
-                f"{prefix}.max_damage",
-                "at least one of monetary_usd, lives_at_risk, reputational must be declared",
-            )
-        )
+        message = "at least one of monetary_usd, lives_at_risk, reputational must be declared"
+        out.append(_violation(f"targets[{i}].max_damage", message))
     if d.monetary_usd is not None and not 0 <= d.monetary_usd < inf:  # NaN fails both
         bound = "be a finite number" if d.monetary_usd == inf else "be non-negative"
-        out.append(_violation(f"{prefix}.max_damage.monetary_usd", f"must {bound}, got {d.monetary_usd!r}"))
+        out.append(_violation(f"targets[{i}].max_damage.monetary_usd", f"must {bound}, got {d.monetary_usd!r}"))
     if d.lives_at_risk is not None and d.lives_at_risk < 0:
-        out.append(_violation(f"{prefix}.max_damage.lives_at_risk", f"must be non-negative, got {d.lives_at_risk!r}"))
-    _check_range(out, f"{prefix}.coupling", target.coupling, 1, 5)
-    _check_range(out, f"{prefix}.interaction_complexity", target.interaction_complexity, 1, 5)
+        out.append(_violation(f"targets[{i}].max_damage.lives_at_risk", f"must be non-negative, got {d.lives_at_risk!r}"))
+    if not 1 <= target.coupling <= 5:
+        out.append(_out_of_range(f"targets[{i}].coupling", target.coupling, 1, 5))
+    if not 1 <= target.interaction_complexity <= 5:
+        out.append(_out_of_range(f"targets[{i}].interaction_complexity", target.interaction_complexity, 1, 5))
     if target.position is not None:
         for axis in ("gap", "energy"):
             value = getattr(target.position, axis)
             if not 0 <= value <= 1:
-                out.append(_violation(f"{prefix}.position.{axis}", f"must be between 0 and 1, got {value!r}"))
+                out.append(_out_of_range(f"targets[{i}].position.{axis}", value, 0, 1))
 
 
 def validate_profile(profile: AssessmentProfile) -> list[DocumentError]:
@@ -295,15 +310,7 @@ def validate_profile(profile: AssessmentProfile) -> list[DocumentError]:
     """
     out: list[DocumentError] = []
     _validate_intervention(out, profile.intervention)
-    if not profile.targets:
-        out.append(_violation("targets", "at least one target is required"))
-    seen: set[str] = set()
-    for i, target in enumerate(profile.targets):
-        prefix = f"targets[{i}]"
-        if target.name in seen:
-            out.append(_violation(f"{prefix}.name", f"duplicate target name {target.name!r}"))
-        seen.add(target.name)
-        _validate_target(out, prefix, target)
+    _validate_targets(out, profile.targets, _validate_target)
     _validate_safety(out, profile.safety)
     return out
 

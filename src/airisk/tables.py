@@ -26,8 +26,7 @@ from .model import (
     MaxDamage,
     Reputational,
     TargetAssessment,
-    coupling_category,
-    interaction_category,
+    _band,
 )
 
 
@@ -111,10 +110,14 @@ def damage_and_party(energy: EnergyLevel, gap: KnowledgeGap) -> DamagePartyProfi
     return DAMAGE_PARTY_TABLE[(EnergyLevel(energy), KnowledgeGap(gap))]
 
 
+# ACCIDENT_RISK_TABLE by _band index, in coupling_category's and interaction_category's order.
+_ACCIDENT_RISK_GRID = tuple(tuple(ACCIDENT_RISK_TABLE[(c, x)] for x in InteractionCategory) for c in CouplingCategory)
+
+
 def target_accident_risk(target: TargetAssessment) -> RiskLevel:
     """Accident risk for one target, banding its raw 1-5 scores first."""
-    key = (coupling_category(target.coupling), interaction_category(target.interaction_complexity))
-    return ACCIDENT_RISK_TABLE[key]
+    row = _band(target.coupling, "coupling score")
+    return _ACCIDENT_RISK_GRID[row][_band(target.interaction_complexity, "interaction complexity score")]
 
 
 def target_damage_party(target: TargetAssessment) -> DamagePartyProfile:

@@ -203,6 +203,27 @@ def test_error_summary_truncates_long_lists(roomba_doc):
     assert "+2 more" in str(exc.value)
 
 
+def test_error_summary_names_the_first_three_errors(roomba_doc):
+    del roomba_doc["name"]
+    with pytest.raises(AssessmentDocumentError) as exc:
+        parse_assessment(dump(roomba_doc))
+    assert str(exc.value) == "name: required field is missing"
+    del roomba_doc["ai_component"], roomba_doc["safety"]
+    with pytest.raises(AssessmentDocumentError) as exc:
+        parse_assessment(dump(roomba_doc))
+    assert str(exc.value) == (
+        "name: required field is missing; ai_component: required field is missing; "
+        "safety: required field is missing"
+    )
+    del roomba_doc["intervention"], roomba_doc["targets"]
+    with pytest.raises(AssessmentDocumentError) as exc:
+        parse_assessment(dump(roomba_doc))
+    assert str(exc.value) == (
+        "name: required field is missing; ai_component: required field is missing; "
+        "intervention: required field is missing (+2 more)"
+    )
+
+
 def test_canonical_output_shape(roomba):
     data = serialize_assessment(roomba)
     assert data.endswith(b"}\n")

@@ -1,7 +1,9 @@
 """Invariant checks, score banding, and attention collapsing."""
 
 import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -26,8 +28,10 @@ from airisk import (
     parse_assessment,
     validate_profile,
 )
+from airisk.tables import target_accident_risk
 
 from conftest import BROKEN_HAL_VIOLATIONS
+from genprofiles import choice, randint, random_profile
 
 
 def test_fixture_profiles_are_valid(roomba, hal9000, tay):
@@ -238,3 +242,87 @@ def test_attention_magnitude_rejects_incomplete_specs():
         attention_magnitude(HumanAttention(mode=AttentionMode.INTERMITTENT))
     with pytest.raises(ValueError):
         attention_magnitude(HumanAttention(mode=AttentionMode.PERIODIC, checks_per_day=0))
+
+
+# Values at and beyond each range's ends, and of the other types a hand-built
+# profile can carry: a non-integral float, NaN, infinities, a bool and an
+# integer too wide for a float.
+EDGE_VALUES = (-1, 0, 1, 2, 3, 4, 5, 6, 2.5, float("nan"), float("inf"), float("-inf"), True, 10**30)
+
+
+def _mutated_profile(rng):
+    """A generated profile with up to three fields set to edge values."""
+    profile = random_profile(rng)
+    for _ in range(randint(rng, 0, 3)):
+        if not profile.targets:
+            break
+        value = choice(rng, EDGE_VALUES)
+        ind, safety, targets = profile.intervention, profile.safety, list(profile.targets)
+        i = randint(rng, 0, len(targets) - 1)
+        target = targets[i]
+        match randint(rng, 0, 9):
+            case 0:
+                ind = dataclasses.replace(ind, observability=value)
+            case 1:
+                ind = dataclasses.replace(ind, correctability=value)
+            case 2:
+                mode = choice(rng, tuple(AttentionMode))
+                interval = choice(rng, (None, AttentionInterval.DAYS))
+                checks = choice(rng, (None, value))
+                ind = dataclasses.replace(ind, attention=HumanAttention(mode, checks, interval))
+            case 3:
+                targets[i] = dataclasses.replace(target, coupling=value)
+            case 4:
+                targets[i] = dataclasses.replace(target, interaction_complexity=value)
+            case 5:
+                name, dim = choice(rng, safety.dimensions())
+                field = choice(rng, ("level", "projected"))
+                safety = dataclasses.replace(safety, **{name: dataclasses.replace(dim, **{field: value})})
+            case 6:
+                damage = choice(
+                    rng,
+                    (
+                        MaxDamage(),
+                        MaxDamage(monetary_usd=value),
+                        MaxDamage(monetary_usd=-value),
+                        MaxDamage(lives_at_risk=value),
+                        MaxDamage(monetary_usd=value * 1e300),
+                    ),
+                )
+                targets[i] = dataclasses.replace(target, max_damage=damage)
+            case 7:
+                axis = choice(rng, ("gap", "energy"))
+                position = target.position or Position(gap=0.5, energy=0.5)
+                edge = value / 4 if type(value) is int else value
+                targets[i] = dataclasses.replace(target, position=dataclasses.replace(position, **{axis: edge}))
+            case 8:
+                targets.append(dataclasses.replace(target, coupling=value))
+            case 9:
+                targets = targets[: randint(rng, 0, len(targets) - 1)]
+        profile = dataclasses.replace(profile, intervention=ind, safety=safety, targets=tuple(targets))
+    return profile
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_diagnostics_and_accident_risks_match_their_pinned_digest():
+    """Every diagnostic validate_profile writes, and every accident risk or
+    error target_accident_risk gives, over seeded edge-value mutations of
+    generated profiles and a grid of scores, hashed against a fixed digest."""
+    rng = random.Random(1100)
+    lines = []
+    for _ in range(1500):
+        errors = validate_profile(_mutated_profile(rng))
+        lines.append(repr([(e.kind.value, e.path, e.message, e.line) for e in errors]))
+    target = random_profile(rng).targets[0]
+    for coupling in EDGE_VALUES:
+        for interaction in EDGE_VALUES:
+            scored = dataclasses.replace(target, coupling=coupling, interaction_complexity=interaction)
+            lines.append(_outcome(target_accident_risk, scored))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c3c656024fbd45135a10a8db030d5d1c11f46cb87c86cdbbe04db0413f18eaee"

@@ -350,6 +350,16 @@ def test_the_calibration_must_be_the_one_the_rules_evaluate(roomba):
     assert _rejection(doc) == "calibration.significant_party_min: must be 3, the value the rules evaluate"
 
 
+def test_the_target_list_gets_the_profiles_own_checks():
+    doc = _report_object()
+    doc["targets"].append(copy.deepcopy(doc["targets"][0]))
+    assert _rejection(doc) == "targets[2].name: duplicate target name 'Robot Movement'"
+    doc = _report_object()
+    doc["findings"][2].update(triggered=False, measures=[], targets=[])
+    doc["targets"] = []
+    assert _rejection(doc) == "targets: at least one target is required"
+
+
 def test_out_of_order_thresholds_name_their_object():
     path = ("calibration", "damage_thresholds", "minor")
     with pytest.raises(ValueError, match=re.escape(" calibration.damage_thresholds: damage thresholds")):

@@ -1,5 +1,7 @@
 """Decision-table lookups, quadrant placement, and damage classes."""
 
+import re
+
 import pytest
 
 from airisk import (
@@ -12,11 +14,15 @@ from airisk import (
     MaxDamage,
     Reputational,
     RiskLevel,
+    TargetAssessment,
     accident_risk,
+    coupling_category,
     damage_and_party,
     damage_class,
+    interaction_category,
     quadrant,
 )
+from airisk.tables import target_accident_risk
 
 LOW, MED, HIGH = CouplingCategory.LOW, CouplingCategory.MEDIUM, CouplingCategory.HIGH
 LIN, MOD, CPX = InteractionCategory.LINEAR, InteractionCategory.MODERATE, InteractionCategory.COMPLEX
@@ -32,6 +38,36 @@ LIN, MOD, CPX = InteractionCategory.LINEAR, InteractionCategory.MODERATE, Intera
 )
 def test_accident_risk_cells(coupling, interaction, expected):
     assert accident_risk(coupling, interaction).letter == expected
+
+
+def _scored(coupling, interaction):
+    return TargetAssessment(
+        name="t",
+        max_damage=MaxDamage(monetary_usd=0),
+        coupling=coupling,
+        interaction_complexity=interaction,
+        energy_level=EnergyLevel.LOW,
+        knowledge_gap=KnowledgeGap.LOW,
+    )
+
+
+def test_target_accident_risk_bands_then_looks_up():
+    for c in range(1, 6):
+        for x in range(1, 6):
+            expected = accident_risk(coupling_category(c), interaction_category(x))
+            assert target_accident_risk(_scored(c, x)) is expected
+
+
+@pytest.mark.parametrize("score", [0, 6, -1])
+def test_target_accident_risk_rejects_scores_as_the_banding_does(score):
+    with pytest.raises(ValueError) as banding:
+        coupling_category(score)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(banding.value))}$"):
+        target_accident_risk(_scored(score, 3))
+    with pytest.raises(ValueError) as banding:
+        interaction_category(score)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(banding.value))}$"):
+        target_accident_risk(_scored(3, score))
 
 
 @pytest.mark.parametrize(
