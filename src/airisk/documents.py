@@ -17,8 +17,9 @@ Parsing never partially succeeds.  Every problem is a ``DocumentError``
 for a document that decodes, its invariant violations, all in one list.
 ``parse_assessment`` raises the full list and ``parse_machine_report`` the
 first problem.  A machine report must also be one the engine could have
-written: seven findings in rule order, each with its rule's measures and
-targets, and the calibration the rules evaluate for its damage thresholds.
+written: the decision pass rerun on its own fields, each target's damage
+class and table cells included, must give its findings, and its calibration
+must be the one the rules evaluate for its damage thresholds.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ from .model import (
     validate_profile,
 )
 from .rules import (
-    _TARGET_RULES,
-    RULES,
     Calibration,
     Finding,
     Measure,
@@ -66,6 +65,9 @@ from .rules import (
     RuleId,
     RuleReport,
     TargetResult,
+    _decide,
+    _explain,
+    _Facts,
     calibration_for,
 )
 from .tables import DamageClass, DamagePartyProfile, DamageThresholds, RiskLevel
@@ -217,6 +219,7 @@ SCHEMA: dict[type, tuple[tuple, ...]] = {
     TargetResult: (
         ("name", _str),
         (("max_damage", "max_damage_text"), _str),
+        ("damage_class", DamageClass),
         ("accident_risk", RiskLevel),
         ((None, "damage_party"), DamagePartyProfile),
         ("quadrant", _int, None),
@@ -470,8 +473,9 @@ def parse_machine_report(data: bytes | str) -> RiskReport:
 
     ValueError names the first problem and its path: bytes that are not JSON,
     a missing, unknown or wrong-typed field, a value outside its range, an
-    empty target list or a repeated target name, a finding that is not its
-    rule's, or a calibration the rules do not evaluate.
+    empty target list or a repeated target name; then findings other than
+    those the rules decide from the report's own fields, target cells and
+    damage classes included, or a calibration the rules do not evaluate.
     """
     report, dec = _read(RiskReport, data, True)
     errors = dec.errors
@@ -479,8 +483,12 @@ def parse_machine_report(data: bytes | str) -> RiskReport:
         _validate_intervention(errors, report.intervention)
         _validate_targets(errors, report.target_results, _check_target_result)
         _validate_safety(errors, report.safety)
-        _check_findings(errors, report)
-        _check_calibration(errors, report.calibration)
+    if not errors:  # decoded and in range, so the rules can read it
+        results, cal = report.target_results, calibration_for(report.calibration.damage_thresholds)
+        cells = [r.damage_class for r in results], [r.accident_risk for r in results], [r.damage_party for r in results]
+        facts = _Facts(report, results, cal, *cells)  # the report's own cells: no table is looked up
+        _expect(errors, "findings", report.rule_findings.findings, _explain(facts, _decide(facts)))
+        _expect(errors, "calibration", report.calibration, cal)
     if errors:
         raise ValueError(f"not a machine report: {format_document_error(errors[0])}")
     return report
@@ -493,38 +501,23 @@ def _check_target_result(out: list[DocumentError], i: int, result: TargetResult)
         out.append(_out_of_range(f"targets[{i}].quadrant", result.quadrant, 1, 4))
 
 
-def _check_findings(out: list[DocumentError], report: RiskReport) -> None:
-    """One finding per rule, in rule order; a triggered one carries its rule's
-    measures, and only a triggered R3-R5 names targets, each of the report's."""
-    findings = report.rule_findings.findings
-    if len(findings) != len(RULES):
-        out.append(_violation("findings", f"must hold one finding per rule, {len(RULES)} in all, got {len(findings)}"))
-    names = {result.name for result in report.target_results}
-    for i, (rule, finding) in enumerate(zip(RULES, findings)):
-        path = f"findings[{i}]"
-        if finding.rule is not rule.id:
-            out.append(_violation(f"{path}.rule", f"must be {rule.id.value}, in rule order"))
-        if finding.triggered and finding.measures != rule.measures:
-            out.append(_violation(f"{path}.measures", f"must be the measures of {rule.id.value}"))
-        elif not finding.triggered and finding.measures:
-            out.append(_violation(f"{path}.measures", "must be empty when the rule is not triggered"))
-        if finding.triggered and rule.id in _TARGET_RULES:
-            if not finding.targets_involved:
-                out.append(_violation(f"{path}.targets", "must name the targets that trigger the rule"))
-        elif finding.targets_involved:
-            out.append(_violation(f"{path}.targets", "must be empty unless R3, R4 or R5 is triggered"))
-        for j, name in enumerate(finding.targets_involved):
-            if name not in names:
-                out.append(_violation(f"{path}.targets[{j}]", f"must name one of the report's targets, got {name!r}"))
-
-
-def _check_calibration(out: list[DocumentError], cal: Calibration) -> None:
-    """The rules evaluate one calibration per set of damage thresholds."""
-    expected = calibration_for(cal.damage_thresholds)
-    for key, *_ in SCHEMA[Calibration]:
-        want = getattr(expected, key)
-        if getattr(cal, key) != want:
-            out.append(_violation(f"calibration.{key}", f"must be {json.dumps(want)}, the value the rules evaluate"))
+def _expect(out: list[DocumentError], path: str, got: Any, want: Any) -> None:
+    """Record where got first differs from want, the value the rules evaluate:
+    a document type field by field in SCHEMA order, an array of documents or
+    names item by item when the lengths agree, and any other value whole."""
+    if got == want:
+        return
+    if type(want) in SCHEMA:
+        key, attr = next((k, a) for k, a, *_ in _layout(type(want))[0] if getattr(got, a) != getattr(want, a))
+        return _expect(out, f"{path}.{key}", getattr(got, attr), getattr(want, attr))
+    if type(want) is tuple and len(got) == len(want) and not isinstance(want[0], Enum):
+        i = next(i for i, item in enumerate(want) if got[i] != item)
+        return _expect(out, f"{path}[{i}]", got[i], want[i])
+    if type(want) is tuple and want and type(want[0]) in SCHEMA:
+        message = f"must hold {len(want)} entries, the number the rules evaluate"
+    else:
+        message = f"must be {json.dumps(want, ensure_ascii=False)}, the value the rules evaluate"
+    out.append(_violation(path, message))
 
 
 _encode_str = json.encoder.encode_basestring

@@ -86,7 +86,7 @@ def build_report(
     findings = evaluate_rules(profile, thresholds)
     facts = findings._facts  # the decision pass's lookups and calibration
     results = []
-    for target, risk, party in zip(profile.targets, facts.risks, facts.parties):
+    for target, cls, risk, party in zip(profile.targets, facts.classes, facts.risks, facts.parties):
         q = None
         if target.position is not None:
             q = quadrant(target.position.gap, target.position.energy)
@@ -94,6 +94,7 @@ def build_report(
             TargetResult(
                 name=target.name,
                 max_damage_text=format_max_damage(target.max_damage),
+                damage_class=cls,
                 accident_risk=risk,
                 damage_party=party,
                 quadrant=q,

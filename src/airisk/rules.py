@@ -181,6 +181,7 @@ class TargetResult:
 
     name: str
     max_damage_text: str
+    damage_class: DamageClass
     accident_risk: RiskLevel
     damage_party: DamagePartyProfile
     quadrant: int | None = None
@@ -208,21 +209,24 @@ class RuleDefinition:
     measures: tuple[Measure, ...]
 
 
+_DC = DEFAULT_CALIBRATION  # the cutoffs the conditions name
+
 RULES: tuple[RuleDefinition, ...] = (
     RuleDefinition(
         RuleId.R1,
         "If time delay is very small and there is poor observability or attention, then an "
         "oversight component or monitoring protocol is recommended (unless the effects of the "
         "system are trivial).",
-        "time delay is milliseconds or seconds; observability is at most 2 or attention gaps "
-        "are days or longer; at least one target's damage class is above negligible",
+        f"time delay is {' or '.join(d.value for d in _DC.very_small_time_delays)}; "
+        f"observability is at most {_DC.poor_observability_max} or attention gaps "
+        f"are {_DC.poor_attention_min.value} or longer; at least one target's damage class is above negligible",
         (Measure.OVERSIGHT_COMPONENT, Measure.MONITORING_PROTOCOL),
     ),
     RuleDefinition(
         RuleId.R2,
         "If correctability is low and the system can't be taken offline, then a (non-AI) "
         "backup system should be implemented and maintained.",
-        "correctability is at most 2 and the system cannot be taken offline",
+        f"correctability is at most {_DC.low_correctability_max} and the system cannot be taken offline",
         (Measure.NON_AI_BACKUP_SYSTEM,),
     ),
     RuleDefinition(
@@ -230,21 +234,22 @@ RULES: tuple[RuleDefinition, ...] = (
         "If the system accident risk is medium or higher, then the system should be analyzed "
         "for ways to reduce complexity around the AI component, and add centralized control "
         "in and around that component.",
-        "any target's accident risk is medium or higher",
+        f"any target's accident risk is {_DC.accident_risk_min.value.lower()} or higher",
         (Measure.REDUCE_COMPLEXITY_ADD_CENTRAL_CONTROL,),
     ),
     RuleDefinition(
         RuleId.R4,
         "If there is significant damage possible to 3rd and 4th parties, then an ethics "
         "committee is absolutely necessary for continued operation.",
-        "any target's damage/party profile pairs damage at medium or above with party degree 3 or 4",
+        f"any target's damage/party profile pairs damage at {_DC.significant_damage_min.value.lower()} or "
+        "above with party degree 3 or 4",
         (Measure.ETHICS_COMMITTEE,),
     ),
     RuleDefinition(
         RuleId.R5,
         "Targets of the AI's control which have high amounts of damage potential should have "
         "conventional (non-AI) safeguards and human oversight.",
-        "any target's damage class is severe or worse",
+        f"any target's damage class is {_DC.high_damage_min.value.lower()} or worse",
         (Measure.CONVENTIONAL_SAFEGUARDS_HUMAN_OVERSIGHT,),
     ),
     RuleDefinition(
@@ -253,7 +258,7 @@ RULES: tuple[RuleDefinition, ...] = (
         "measures should be enacted as if the AI is a weak human adversary, and personnel "
         "education regarding AI safety hazards should be done within the organization. An "
         "ethics board should also be created.",
-        "any safety dimension's current level is 2 or higher",
+        f"any safety dimension's current level is {_DC.safety_review_level} or higher",
         (Measure.CYBERSECURITY_AS_WEAK_ADVERSARY, Measure.PERSONNEL_SAFETY_EDUCATION, Measure.ETHICS_BOARD),
     ),
     RuleDefinition(
@@ -261,7 +266,7 @@ RULES: tuple[RuleDefinition, ...] = (
         "If any of the AI safety levels are at or may reach level 3, then air gapping and "
         "strict protocols around interaction with the AI should be implemented. An ethics "
         "board and consultation with AI safety experts is required.",
-        "any safety dimension's current or projected level is 3",
+        f"any safety dimension's current or projected level is {_DC.safety_critical_level}",
         (Measure.AIR_GAP_STRICT_PROTOCOLS, Measure.ETHICS_BOARD, Measure.AI_SAFETY_EXPERT_CONSULTATION),
     ),
 )
@@ -287,31 +292,22 @@ def _reach(dim: SafetyDimension) -> int:
 
 
 class _Facts:
-    """Everything the rules read, computed once per evaluation.
+    """Everything the rules read, from a profile or a report (``source``) and
+    its targets or target results, which give the names; the per-target
+    lists follow them."""
 
-    The per-target lists follow the profile's target order.
-    """
+    __slots__ = ("intervention", "safety", "targets", "cal", "magnitude", "classes", "risks", "parties", "worst")
 
-    __slots__ = ("profile", "cal", "magnitude", "classes", "risks", "parties", "worst")
-
-    def __init__(self, profile: AssessmentProfile, cal: Calibration):
-        self.profile = profile
-        self.cal = cal
-        self.magnitude = attention_magnitude(profile.intervention.attention)
-        classes: list[DamageClass] = []
-        risks: list[RiskLevel] = []
-        parties: list[DamagePartyProfile] = []
-        for t in profile.targets:
-            classes.append(damage_class(t.max_damage, cal.damage_thresholds))
-            risks.append(target_accident_risk(t))
-            parties.append(target_damage_party(t))
+    def __init__(self, source, targets: tuple, cal: Calibration, classes: list, risks: list, parties: list):
+        self.intervention, self.safety, self.targets, self.cal = source.intervention, source.safety, targets, cal
+        self.magnitude = attention_magnitude(source.intervention.attention)
         self.classes, self.risks, self.parties = classes, risks, parties
         self.worst = max(classes, key=DAMAGE_CLASS_RANK.__getitem__)
 
 
 def _r1_conditions(facts: _Facts) -> tuple[bool, bool, bool, bool]:
     """R1's inputs: delay very small, observability poor, attention poor, effects trivial."""
-    ind, cal = facts.profile.intervention, facts.cal
+    ind, cal = facts.intervention, facts.cal
     return (
         ind.time_delay in cal.very_small_time_delays,
         ind.observability <= cal.poor_observability_max,
@@ -326,14 +322,14 @@ def _decide(facts: _Facts) -> tuple:
     R1 and R2 give a bool; R3-R5 a list of the qualifying targets' indices;
     R6 and R7 a list of the qualifying (name, dimension) safety pairs.
     """
-    ind, cal = facts.profile.intervention, facts.cal
+    ind, cal = facts.intervention, facts.cal
     delay_small, obs_poor, att_poor, trivial = _r1_conditions(facts)
     risk_floor = RISK_RANK[cal.accident_risk_min]
     damage_floor = RISK_RANK[cal.significant_damage_min]
     class_floor = DAMAGE_CLASS_RANK[cal.high_damage_min]
     party_floor = cal.significant_party_min
     review, critical = [], []
-    for name, dim in facts.profile.safety.dimensions():
+    for name, dim in facts.safety.dimensions():
         if dim.level >= cal.safety_review_level:
             review.append((name, dim))
         if dim.level >= cal.safety_critical_level or dim.projected >= cal.safety_critical_level:
@@ -357,7 +353,7 @@ def _decide(facts: _Facts) -> tuple:
 
 
 def _explain_r1(facts: _Facts, fired: bool) -> str:
-    ind, cal = facts.profile.intervention, facts.cal
+    ind, cal = facts.intervention, facts.cal
     delay_small, obs_poor, att_poor, trivial = _r1_conditions(facts)
     if fired:
         parts = [f"time delay is {ind.time_delay.value}"]
@@ -381,7 +377,7 @@ def _explain_r1(facts: _Facts, fired: bool) -> str:
 
 
 def _explain_r2(facts: _Facts, fired: bool) -> str:
-    ind, low = facts.profile.intervention, facts.cal.low_correctability_max
+    ind, low = facts.intervention, facts.cal.low_correctability_max
     if fired:
         return _sentence(
             [
@@ -399,26 +395,29 @@ def _explain_r2(facts: _Facts, fired: bool) -> str:
 
 def _target_listing(facts: _Facts, indices, code) -> str:
     """"name (code)" for each listed target, where code formats its index."""
-    return _prose_join([f"{facts.profile.targets[i].name} ({code(i)})" for i in indices])
+    return _prose_join([f"{facts.targets[i].name} ({code(i)})" for i in indices])
 
 
 def _explain_r3(facts: _Facts, hits: list[int]) -> str:
     def letter(i: int) -> str:
         return facts.risks[i].letter
 
+    floor = facts.cal.accident_risk_min
     if hits:
-        return f"Accident risk reaches medium or higher for {_target_listing(facts, hits, letter)}."
-    return f"Every target's accident risk is low: {_target_listing(facts, range(len(facts.risks)), letter)}."
+        return f"Accident risk reaches {floor.value.lower()} or higher for {_target_listing(facts, hits, letter)}."
+    below = " or ".join([r.value.lower() for r in list(RISK_RANK)[: RISK_RANK[floor]]])
+    return f"Every target's accident risk is {below}: {_target_listing(facts, range(len(facts.risks)), letter)}."
 
 
 def _explain_r4(facts: _Facts, hits: list[int]) -> str:
     def code(i: int) -> str:
         return facts.parties[i].code
 
+    floor = facts.cal.significant_damage_min.value.lower()
     if hits:
-        return f"Damage at medium or above can reach 3rd or 4th parties: {_target_listing(facts, hits, code)}."
+        return f"Damage at {floor} or above can reach 3rd or 4th parties: {_target_listing(facts, hits, code)}."
     everyone = _target_listing(facts, range(len(facts.parties)), code)
-    return f"No target combines damage at medium or above with 3rd- or 4th-party reach: {everyone}."
+    return f"No target combines damage at {floor} or above with 3rd- or 4th-party reach: {everyone}."
 
 
 def _explain_r5(facts: _Facts, hits: list[int]) -> str:
@@ -427,7 +426,8 @@ def _explain_r5(facts: _Facts, hits: list[int]) -> str:
 
     if hits:
         return f"Damage potential is high for {_target_listing(facts, hits, cls)}."
-    return f"No target's damage class reaches severe: {_target_listing(facts, range(len(facts.classes)), cls)}."
+    everyone = _target_listing(facts, range(len(facts.classes)), cls)
+    return f"No target's damage class reaches {facts.cal.high_damage_min.value.lower()}: {everyone}."
 
 
 def _argmax_dimension(dims: tuple[tuple[str, SafetyDimension], ...], key) -> tuple[str, int]:
@@ -443,7 +443,7 @@ def _explain_r6(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
     if hits:
         items = [f"{_display(name)} ({dim.level})" for name, dim in hits]
         return f"Safety levels at {review} or higher: {_prose_join(items)}."
-    name, level = _argmax_dimension(facts.profile.safety.dimensions(), lambda d: d.level)
+    name, level = _argmax_dimension(facts.safety.dimensions(), lambda d: d.level)
     return f"All safety levels are at most {review - 1} (highest is {_display(name)} at {level})."
 
 
@@ -457,7 +457,7 @@ def _explain_r7(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
             else:
                 items.append(f"{_display(name)} ({dim.level})")
         return f"Safety levels at or projected to reach {critical}: {_prose_join(items)}."
-    name, value = _argmax_dimension(facts.profile.safety.dimensions(), _reach)
+    name, value = _argmax_dimension(facts.safety.dimensions(), _reach)
     return (
         f"No safety level is at or projected to reach {critical} "
         f"(highest is {_display(name)} at {value})."
@@ -478,7 +478,7 @@ def _explain(facts: _Facts, outcomes: tuple) -> tuple[Finding, ...]:
             continue
         names = ()
         if definition.id in _TARGET_RULES:
-            names = tuple(facts.profile.targets[i].name for i in outcome)
+            names = tuple(facts.targets[i].name for i in outcome)
         findings.append(Finding(definition.id, True, definition.measures, rationale, names))
     return tuple(findings)
 
@@ -507,5 +507,10 @@ def evaluate_rules(
     violations = validate_profile(profile)
     if violations:
         raise InvalidProfileError(violations)
-    facts = _Facts(profile, calibration_for(thresholds))
+    classes, risks, parties = [], [], []
+    for t in profile.targets:
+        classes.append(damage_class(t.max_damage, thresholds))
+        risks.append(target_accident_risk(t))
+        parties.append(target_damage_party(t))
+    facts = _Facts(profile, profile.targets, calibration_for(thresholds), classes, risks, parties)
     return RuleReport._decided(facts, _decide(facts))

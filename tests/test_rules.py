@@ -24,7 +24,7 @@ from airisk import (
     TimeDelay,
     evaluate_rules,
 )
-from airisk.rules import RuleReport
+from airisk.rules import Calibration, RiskLevel, RuleReport, _decide, _explain, _Facts
 
 from genprofiles import random_profile
 
@@ -147,6 +147,18 @@ def test_r3_fires_and_names_the_risky_targets():
     assert f.triggered
     assert f.targets_involved == ("edgy",)
     assert "edgy" in f.rationale
+
+
+def test_the_rationale_names_the_calibrations_cutoff():
+    p = profile(targets=(target("calm"), target("edgy", coupling=3, complexity=3)))
+    decided = evaluate_rules(p)._facts
+    cells = decided.classes, decided.risks, decided.parties
+    assert _explain(decided, _decide(decided))[2].rationale == "Accident risk reaches medium or higher for edgy (M)."
+    strict = _Facts(p, p.targets, Calibration(accident_risk_min=RiskLevel.HIGH), *cells)
+    below = "Every target's accident risk is low or medium: calm (L) and edgy (M)."
+    assert _explain(strict, _decide(strict))[2].rationale == below
+    strict.risks = [RiskLevel.LOW, RiskLevel.HIGH]
+    assert _explain(strict, _decide(strict))[2].rationale == "Accident risk reaches high or higher for edgy (H)."
 
 
 # -- R4: significant damage reaching 3rd or 4th parties --
