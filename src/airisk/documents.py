@@ -99,7 +99,8 @@ class AssessmentDocumentError(Exception):
 # the type does not store: written as SCHEMA_VERSION, and checked when read.
 # Any other attribute must be a constructor argument.  A kind is a scalar
 # decoder below, an enum, another document type, or [kind] for an array of
-# that kind.  One decoder and one writer read this table.
+# that kind.  ``_plan`` walks each type's entry once, and that one plan
+# serves the decoder, the writer and the machine reader's ``_expect``.
 
 _LEVEL = object()  # default of ``projected``: the dimension's current level
 
@@ -286,49 +287,36 @@ def _enum_decoder(enum_cls: type[Enum]) -> Callable[[Any], Enum]:
     return decode
 
 
-def _layout(cls: type) -> tuple[list[tuple[str, str | None, Any, Any]], Callable[..., Any]]:
-    """cls's document fields, inlined types spliced in, as (key, attribute path,
-    kind, default), with a path of None for a version cls does not store; and
-    what the decoder builds cls with from those fields by key: cls itself,
-    unless the schema renames, inlines or writes a version cls does not store."""
-    takes = cls.__init__.__annotations__  # the parameters; inspect.signature costs ms of import time
-    fields, named, inline = [], [], []
-    for key, kind, *default in SCHEMA[cls]:
-        key, attr = key if isinstance(key, tuple) else (key, key)
-        if attr is None and kind is _version:
-            fields.append((key, None, kind, _MISSING))
-            continue
-        if attr not in takes:
-            raise TypeError(f"SCHEMA[{cls.__name__}]: {attr!r} is not a constructor argument")
-        if key is None:
-            inner, build = _layout(kind)
-            fields += [(k, f"{attr}.{path}", kd, d) for k, path, kd, d in inner]
-            inline.append((attr, build, [k for k, *_ in inner]))
-        else:
-            fields.append((key, attr, kind, default[0] if default else _MISSING))
-            named.append((key, attr))
-    if len(named) == len(SCHEMA[cls]) and all(key == attr for key, attr in named):
-        return fields, cls
-
-    def make(**values: Any) -> Any:
-        kwargs = {attr: values[key] for key, attr in named}
-        for attr, build, keys in inline:
-            kwargs[attr] = build(**{k: values[k] for k in keys})
-        return cls(**kwargs)
-
-    return fields, make
-
-
 # How the decoder reads each field's value: one scalar, one object, an
 # array of objects, or an array of scalars.  In the plans below, a default
 # of _MISSING marks a required field.
 _SCALAR, _OBJECT, _ARRAY, _SCALARS = range(4)
 
 
-def _decode_plan(cls: type) -> tuple[frozenset, tuple, Callable[..., Any]]:
-    fields, make = _layout(cls)
-    steps = []
-    for key, _, kind, default in fields:
+def _plan(cls: type) -> tuple[frozenset, tuple, tuple, Callable[..., Any], tuple]:
+    """The one plan for cls that the decoder, the writer and ``_expect`` read,
+    from one walk of SCHEMA[cls] with inlined types spliced in: the allowed
+    keys; the decoder's steps (key, shape, reader, default); the writer's
+    steps (key text, getter, default, writer); what the decoder builds cls
+    with from the fields by key, which is cls itself unless the schema
+    renames, inlines or writes a version cls does not store; and the fields
+    as (key, attribute path), with a path of None for such a version."""
+    takes = cls.__init__.__annotations__  # the parameters; inspect.signature costs ms of import time
+    fields, reads, named, inline = [], [], [], []
+    for key, kind, *default in SCHEMA[cls]:
+        key, attr = key if isinstance(key, tuple) else (key, key)
+        if attr is None and kind is _version:
+            pass  # a version cls does not store: read and written, never built
+        elif attr not in takes:
+            raise TypeError(f"SCHEMA[{cls.__name__}]: {attr!r} is not a constructor argument")
+        elif key is None:
+            _, inner_reads, _, build, inner_fields = _plan(kind)
+            fields += [(k, f"{attr}.{path}") for k, path in inner_fields]
+            reads += inner_reads
+            inline.append((attr, build, [k for k, _ in inner_fields]))
+            continue
+        else:
+            named.append((key, attr))
         array = isinstance(kind, list)
         kind = kind[0] if array else kind
         if kind in SCHEMA:
@@ -337,11 +325,27 @@ def _decode_plan(cls: type) -> tuple[frozenset, tuple, Callable[..., Any]]:
             shape = _SCALARS if array else _SCALAR
             if isinstance(kind, type):
                 kind = _enum_decoder(kind)
-        steps.append((key, shape, kind, default))
-    return frozenset(key for key, *_ in steps) | {COMMENT_KEY}, tuple(steps), make
+        fields.append((key, attr))
+        reads.append((key, shape, kind, default[0] if default else _MISSING))
+    writes = tuple(
+        (
+            _encode_str(key) + ": ",
+            attrgetter(path) if path else (lambda obj: SCHEMA_VERSION),
+            default,
+            _write_document if shape == _OBJECT else _dump,
+        )
+        for (key, path), (_, shape, _, default) in zip(fields, reads)
+    )
 
+    def make(**values: Any) -> Any:
+        kwargs = {attr: values[key] for key, attr in named}
+        for attr, build, keys in inline:
+            kwargs[attr] = build(**{k: values[k] for k in keys})
+        return cls(**kwargs)
 
-_DECODE_PLANS = {cls: _decode_plan(cls) for cls in SCHEMA}
+    if len(named) == len(SCHEMA[cls]) and all(key == attr for key, attr in named):
+        make = cls
+    return frozenset(key for key, _ in fields) | {COMMENT_KEY}, tuple(reads), writes, make, tuple(fields)
 
 
 def _join(prefix: str, key: str) -> str:
@@ -365,7 +369,7 @@ class _Decoder:
             message = "must be an object" if path else "document must be a JSON object"
             self.error(ErrorKind.TYPE_MISMATCH, path or "$", message)
             return None
-        allowed, steps, make = _DECODE_PLANS[cls]
+        allowed, steps, _, make, _ = _PLANS[cls]
         if not obj.keys() <= allowed:
             unknown = self.errors if self.strict else self.warnings
             for key in obj:
@@ -508,7 +512,7 @@ def _expect(out: list[DocumentError], path: str, got: Any, want: Any) -> None:
     if got == want:
         return
     if type(want) in SCHEMA:
-        key, attr = next((k, a) for k, a, *_ in _layout(type(want))[0] if getattr(got, a) != getattr(want, a))
+        key, attr = next((k, a) for k, a in _PLANS[type(want)][4] if getattr(got, a) != getattr(want, a))
         return _expect(out, f"{path}.{key}", getattr(got, attr), getattr(want, attr))
     if type(want) is tuple and len(got) == len(want) and not isinstance(want[0], Enum):
         i = next(i for i, item in enumerate(want) if got[i] != item)
@@ -557,7 +561,7 @@ def _dump(obj: Any, newline: str) -> str:
                 key = _dump(key, newline)
             items.append(_encode_str(key) + ": " + _dump(value, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if type(obj) in _WRITE_PLANS:
+    if type(obj) in _PLANS:
         return _write_document(obj, newline)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
@@ -567,7 +571,7 @@ def _write_document(obj: Any, newline: str) -> str:
     # when it equals ``level``.
     inner = newline + "  "
     items = []
-    for key_text, get, default, write in _WRITE_PLANS[type(obj)]:
+    for key_text, get, default, write in _PLANS[type(obj)][2]:
         value = get(obj)
         if default is _MISSING or value != (obj.level if default is _LEVEL else default):
             items.append(key_text + write(value, inner))
@@ -576,19 +580,8 @@ def _write_document(obj: Any, newline: str) -> str:
     return "{" + inner + ("," + inner).join(items) + newline + "}"
 
 
-# Per document type: (encoded key, getter, default, writer) in document order.
-_WRITE_PLANS = {
-    cls: tuple(
-        (
-            _encode_str(key) + ": ",
-            attrgetter(path) if path else (lambda obj: SCHEMA_VERSION),
-            default,
-            _write_document if isinstance(kind, type) and kind in SCHEMA else _dump,
-        )
-        for key, path, kind, default in _layout(cls)[0]
-    )
-    for cls in SCHEMA
-}
+# One plan per document type, built once the writer it names exists.
+_PLANS = {cls: _plan(cls) for cls in SCHEMA}
 
 
 def canonical_json_bytes(obj: Any) -> bytes:

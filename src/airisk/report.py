@@ -213,10 +213,10 @@ def _render_text(report: RiskReport, color: bool) -> str:
     title = f"Risk Assessment: {report.profile_name}"
     lines = [paint(title, "1"), "=" * len(title)]
     lines += section("Intervention Indicators")
-    lines += render_intervention_table(report.intervention).splitlines()
+    lines += _two_column(_intervention_rows(report.intervention))
     lines.append(f"Can take offline: {'yes' if report.intervention.can_take_offline else 'no'}")
     lines += section("Targets")
-    lines += render_target_table(report.target_results).splitlines()
+    lines += _aligned_table(*_target_rows(report.target_results))
     lines += section("Safety Levels")
     lines += _two_column(_safety_rows(report.safety))
     lines += section("Findings")

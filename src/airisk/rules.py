@@ -287,10 +287,6 @@ def _display(dimension_name: str) -> str:
     return dimension_name.replace("_", " ")
 
 
-def _reach(dim: SafetyDimension) -> int:
-    return max(dim.level, dim.projected)
-
-
 class _Facts:
     """Everything the rules read, from a profile or a report (``source``) and
     its targets or target results, which give the names; the per-target
@@ -393,49 +389,33 @@ def _explain_r2(facts: _Facts, fired: bool) -> str:
     return _sentence(parts)
 
 
-def _target_listing(facts: _Facts, indices, code) -> str:
-    """"name (code)" for each listed target, where code formats its index."""
-    return _prose_join([f"{facts.targets[i].name} ({code(i)})" for i in indices])
+def _target_listing(facts: _Facts, indices, codes: list[str]) -> str:
+    """"name (code)" for each listed target, codes giving every target's code."""
+    return _prose_join([f"{facts.targets[i].name} ({codes[i]})" for i in indices])
 
 
 def _explain_r3(facts: _Facts, hits: list[int]) -> str:
-    def letter(i: int) -> str:
-        return facts.risks[i].letter
-
-    floor = facts.cal.accident_risk_min
+    floor, letters = facts.cal.accident_risk_min, [risk.letter for risk in facts.risks]
     if hits:
-        return f"Accident risk reaches {floor.value.lower()} or higher for {_target_listing(facts, hits, letter)}."
+        return f"Accident risk reaches {floor.value.lower()} or higher for {_target_listing(facts, hits, letters)}."
     below = " or ".join([r.value.lower() for r in list(RISK_RANK)[: RISK_RANK[floor]]])
-    return f"Every target's accident risk is {below}: {_target_listing(facts, range(len(facts.risks)), letter)}."
+    return f"Every target's accident risk is {below}: {_target_listing(facts, range(len(letters)), letters)}."
 
 
 def _explain_r4(facts: _Facts, hits: list[int]) -> str:
-    def code(i: int) -> str:
-        return facts.parties[i].code
-
-    floor = facts.cal.significant_damage_min.value.lower()
+    floor, codes = facts.cal.significant_damage_min.value.lower(), [dp.code for dp in facts.parties]
     if hits:
-        return f"Damage at {floor} or above can reach 3rd or 4th parties: {_target_listing(facts, hits, code)}."
-    everyone = _target_listing(facts, range(len(facts.parties)), code)
+        return f"Damage at {floor} or above can reach 3rd or 4th parties: {_target_listing(facts, hits, codes)}."
+    everyone = _target_listing(facts, range(len(codes)), codes)
     return f"No target combines damage at {floor} or above with 3rd- or 4th-party reach: {everyone}."
 
 
 def _explain_r5(facts: _Facts, hits: list[int]) -> str:
-    def cls(i: int) -> str:
-        return facts.classes[i].value.lower()
-
+    classes = [cls.value.lower() for cls in facts.classes]
     if hits:
-        return f"Damage potential is high for {_target_listing(facts, hits, cls)}."
-    everyone = _target_listing(facts, range(len(facts.classes)), cls)
+        return f"Damage potential is high for {_target_listing(facts, hits, classes)}."
+    everyone = _target_listing(facts, range(len(classes)), classes)
     return f"No target's damage class reaches {facts.cal.high_damage_min.value.lower()}: {everyone}."
-
-
-def _argmax_dimension(dims: tuple[tuple[str, SafetyDimension], ...], key) -> tuple[str, int]:
-    best_name, best_value = dims[0][0], key(dims[0][1])
-    for name, dim in dims[1:]:
-        if key(dim) > best_value:
-            best_name, best_value = name, key(dim)
-    return best_name, best_value
 
 
 def _explain_r6(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
@@ -443,8 +423,8 @@ def _explain_r6(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
     if hits:
         items = [f"{_display(name)} ({dim.level})" for name, dim in hits]
         return f"Safety levels at {review} or higher: {_prose_join(items)}."
-    name, level = _argmax_dimension(facts.safety.dimensions(), lambda d: d.level)
-    return f"All safety levels are at most {review - 1} (highest is {_display(name)} at {level})."
+    name, dim = max(facts.safety.dimensions(), key=lambda item: item[1].level)  # the first if tied
+    return f"All safety levels are at most {review - 1} (highest is {_display(name)} at {dim.level})."
 
 
 def _explain_r7(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
@@ -457,11 +437,9 @@ def _explain_r7(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
             else:
                 items.append(f"{_display(name)} ({dim.level})")
         return f"Safety levels at or projected to reach {critical}: {_prose_join(items)}."
-    name, value = _argmax_dimension(facts.safety.dimensions(), _reach)
-    return (
-        f"No safety level is at or projected to reach {critical} "
-        f"(highest is {_display(name)} at {value})."
-    )
+    reach = {name: max(dim.level, dim.projected) for name, dim in facts.safety.dimensions()}
+    name = max(reach, key=reach.__getitem__)  # the first if tied
+    return f"No safety level is at or projected to reach {critical} (highest is {_display(name)} at {reach[name]})."
 
 
 _EXPLAINERS = (_explain_r1, _explain_r2, _explain_r3, _explain_r4, _explain_r5, _explain_r6, _explain_r7)

@@ -2,10 +2,14 @@
 
 One test per contract item, in order: exact table cells, the three shipped
 case studies against frozen reports and expected trigger sets, the property
-suites at full volume under a time budget, quadrant placement, and the CLI
-exit-code contract.  Run with -v for one pass/fail line per item.
+suites at full volume under a time budget, quadrant placement, the CLI
+exit-code contract, and a package that needs nothing beyond the standard
+library.  Run with -v for one pass/fail line per item.
 """
 
+import ast
+import re
+import sys
 import time
 
 from airisk import (
@@ -22,7 +26,7 @@ from airisk import (
 )
 from airisk.report import format_attention
 
-from conftest import FIXTURES, GOLDEN, run_cli, write_doc
+from conftest import FIXTURES, PKG_ROOT, GOLDEN, run_cli, write_doc
 from propchecks import (
     check_parser_totality,
     check_round_trip,
@@ -169,3 +173,20 @@ def test_cli_exit_code_contract(tmp_path, roomba_doc):
     missing = run_cli("assess", str(tmp_path / "absent.json"))
     assert missing.returncode == 3
     assert missing.stderr and not missing.stdout
+
+
+def test_the_package_needs_only_the_standard_library():
+    """Every absolute import in the package names a standard-library module,
+    and the project declares no dependencies."""
+    for path in sorted((PKG_ROOT / "src" / "airisk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, f"{path.name}: import {name}"
+    pyproject = (PKG_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.MULTILINE)

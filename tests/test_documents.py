@@ -483,4 +483,4 @@ def test_a_schema_attribute_the_type_does_not_take_fails_when_planned(monkeypatc
     fields = (("left", documents._int), (("right", "rihgt"), documents._int))
     monkeypatch.setitem(documents.SCHEMA, Pair, fields)
     with pytest.raises(TypeError, match="'rihgt' is not a constructor argument"):
-        documents._layout(Pair)
+        documents._plan(Pair)

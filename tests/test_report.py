@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -9,6 +10,7 @@ import re
 import pytest
 
 from airisk import (
+    AssessmentDocumentError,
     AttentionInterval,
     AttentionMode,
     DamageThresholds,
@@ -20,10 +22,12 @@ from airisk import (
     RiskReport,
     RuleId,
     build_report,
+    parse_assessment,
     parse_machine_report,
     render_intervention_table,
     render_report,
     render_target_table,
+    serialize_assessment,
 )
 from airisk.report import format_attention, format_max_damage, format_usd
 from airisk.rules import DEFAULT_CALIBRATION, calibration_for
@@ -99,6 +103,17 @@ def test_target_table_grows_a_quadrant_column_when_positions_exist(roomba):
     assert lines[0].endswith("| Quadrant")
     assert lines[1].rstrip().endswith("| 1")
     assert lines[2].rstrip().endswith("| -")  # unplaced target gets a dash
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_a_line_separator_in_a_target_name_stays_in_its_row(roomba, separator):
+    name = f"Robot{separator}Movement"
+    renamed = dataclasses.replace(roomba.targets[0], name=name)
+    profile = dataclasses.replace(roomba, targets=(renamed, roomba.targets[1]))
+    lines = render_report(build_report(profile), "text").decode().split("\n")
+    row = next(line for line in lines if line.startswith(name))
+    assert row.split(" | ")[:2] == [name.ljust(len("Cleanliness of Floor")), "$200      "]
+    assert f"    targets: {name}" in lines  # R3's finding keeps it whole too
 
 
 def test_report_carries_derived_results(hal9000):
@@ -466,6 +481,36 @@ def test_machine_parser_gives_a_report_or_value_error_on_mutated_reports():
         outcomes[RiskReport] += 1
     # Both outcomes occur, so the mutations reach past the JSON layer.
     assert outcomes[RiskReport] > 50 and outcomes[ValueError] > 2000, outcomes
+
+
+def test_readers_and_writers_match_their_pinned_digest():
+    """The profile and machine-report bytes of seeded profiles (every fourth
+    with custom thresholds), the machine reader's outcome on mutated
+    reports, and the strict profile reader's diagnostics on edited profile
+    documents, hashed against a fixed digest."""
+    rng = random.Random(1717)
+    profiles = [random_profile(rng) for _ in range(300)]
+    reports = []
+    for i, profile in enumerate(profiles):
+        thresholds = DamageThresholds(1, 2.5, 3, 4) if i % 4 == 0 else DEFAULT_DAMAGE_THRESHOLDS
+        reports.append(render_report(build_report(profile, thresholds), "machine"))
+    lines = [serialize_assessment(p).decode() for p in profiles] + [r.decode() for r in reports]
+    for _ in range(2000):
+        try:
+            parse_machine_report(_mutated_report(rng, profiles[:25], reports[:25]))
+            lines.append("ok")
+        except ValueError as e:
+            lines.append(str(e))
+    for _ in range(1000):
+        doc = json.loads(serialize_assessment(rng.choice(profiles)))
+        _edit(rng, doc)
+        try:
+            parse_assessment(json.dumps(doc), strict=True)
+            lines.append("ok")
+        except AssessmentDocumentError as e:
+            lines.append(repr([(d.kind.value, d.path, d.message, d.line) for d in e.errors]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "131f3b3fd73c83fd1a0939d241884c33456fa9d1f2ab1645a4dd8ab3689b00c9"
 
 
 def test_unknown_format_is_rejected(roomba):

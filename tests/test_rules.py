@@ -1,6 +1,7 @@
 """Boundary behavior of the seven recommendation rules."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -282,3 +283,31 @@ def test_decision_pass_agrees_with_the_rationale_text():
         invalid = dataclasses.replace(p, targets=())
         with pytest.raises(InvalidProfileError):
             evaluate_rules(invalid)
+
+
+def test_findings_match_their_pinned_digest():
+    """Every finding, rationale included, over seeded generated profiles
+    (every fourth with custom thresholds) and hand-made safety levels where
+    R6 and R7 tie at a later dimension or a projection decides R7's
+    "highest is", hashed against a fixed digest."""
+    rng = random.Random(1313)
+    cases = []
+    for i in range(1000):
+        thresholds = DamageThresholds(1, 2.5, 3, 4) if i % 4 == 0 else None
+        cases.append((random_profile(rng), thresholds))
+    for levels, projected in (
+        ((0, 1, 1, 0), (None, None, None, None)),
+        ((0, 0, 1, 1), (None, None, None, None)),
+        ((1, 0, 2, 2), (None, 2, None, None)),
+        ((1, 1, 0, 0), (None, None, 2, None)),
+        ((0, 1, 0, 1), (2, None, 2, None)),
+        ((2, 1, 2, 2), (None, 2, None, None)),
+    ):
+        cases.append((profile(levels=levels, projected=projected), None))
+    lines = []
+    for p, thresholds in cases:
+        report = evaluate_rules(p, thresholds) if thresholds else evaluate_rules(p)
+        for f in report.findings:
+            lines.append(repr((f.rule.value, f.triggered, [m.value for m in f.measures], f.targets_involved, f.rationale)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "dc7996ddfdf6a96eddb2f4ab6d6a38dfb2770be2c916da17402e08d6a0f6781d"
