@@ -507,13 +507,14 @@ def _check_target_result(out: list[DocumentError], i: int, result: TargetResult)
 
 def _expect(out: list[DocumentError], path: str, got: Any, want: Any) -> None:
     """Record where got first differs from want, the value the rules evaluate:
-    a document type field by field in SCHEMA order, an array of documents or
+    a document type field by field as written, an array of documents or
     names item by item when the lengths agree, and any other value whole."""
     if got == want:
         return
     if type(want) in SCHEMA:
-        key, attr = next((k, a) for k, a in _PLANS[type(want)][4] if getattr(got, a) != getattr(want, a))
-        return _expect(out, f"{path}.{key}", getattr(got, attr), getattr(want, attr))
+        _, _, writes, _, fields = _PLANS[type(want)]
+        key, get = next((k, step[1]) for (k, _), step in zip(fields, writes) if step[1](got) != step[1](want))
+        return _expect(out, f"{path}.{key}", get(got), get(want))
     if type(want) is tuple and len(got) == len(want) and not isinstance(want[0], Enum):
         i = next(i for i, item in enumerate(want) if got[i] != item)
         return _expect(out, f"{path}[{i}]", got[i], want[i])

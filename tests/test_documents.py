@@ -484,3 +484,17 @@ def test_a_schema_attribute_the_type_does_not_take_fails_when_planned(monkeypatc
     monkeypatch.setitem(documents.SCHEMA, Pair, fields)
     with pytest.raises(TypeError, match="'rihgt' is not a constructor argument"):
         documents._plan(Pair)
+
+
+def test_the_compare_step_reads_inlined_fields_and_passes_over_the_version(roomba):
+    report = build_report(roomba)
+    result = report.target_results[0]
+    moved = dataclasses.replace(result, damage_party=dataclasses.replace(result.damage_party, party_degree=4))
+    renamed = dataclasses.replace(report, profile_name="Other")
+    out = []
+    documents._expect(out, "targets[0]", moved, result)
+    documents._expect(out, "report", renamed, report)
+    assert [format_document_error(e) for e in out] == [
+        "targets[0].party_degree: must be 2, the value the rules evaluate",
+        'report.profile_name: must be "Roomba", the value the rules evaluate',
+    ]
