@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .documents import (
+    SCHEMA_VERSION,
     AssessmentDocumentError,
     DocumentError,
     canonical_json_bytes,
@@ -26,11 +27,8 @@ from .documents import (
     parse_assessment,
 )
 from .model import (
-    SCHEMA_VERSION,
     AttentionInterval,
-    CouplingCategory,
     EnergyLevel,
-    InteractionCategory,
     InvalidProfileError,
     KnowledgeGap,
     Reputational,
@@ -41,7 +39,9 @@ from .report import ReportFormat, _md_table, _measures_text, build_report, forma
 from .rules import RULES
 from .tables import (
     DEFAULT_DAMAGE_THRESHOLDS,
+    CouplingCategory,
     DamageThresholds,
+    InteractionCategory,
     accident_risk,
     damage_and_party,
 )

@@ -31,7 +31,6 @@ from operator import attrgetter
 from typing import Any, Callable
 
 from .model import (
-    SCHEMA_VERSION,
     AssessmentProfile,
     AttentionInterval,
     AttentionMode,
@@ -73,6 +72,7 @@ from .rules import (
 from .tables import DamageClass, DamagePartyProfile, DamageThresholds, RiskLevel
 
 COMMENT_KEY = "//"
+SCHEMA_VERSION = 1
 
 _MISSING = object()
 
@@ -208,7 +208,7 @@ SCHEMA: dict[type, tuple[tuple, ...]] = {
         ("anthropomorphization", SafetyDimension),
     ),
     AssessmentProfile: (
-        ("schema_version", _version),
+        (("schema_version", None), _version),
         ("name", _str),
         ("ai_component", _str),
         ("intervention", InterventionIndicators),

@@ -20,8 +20,6 @@ from enum import Enum
 from math import inf
 from typing import Callable
 
-SCHEMA_VERSION = 1
-
 
 class TimeDelay(str, Enum):
     """How long the system's actions take to produce their effects."""
@@ -70,18 +68,6 @@ class KnowledgeGap(str, Enum):
     LOW = "low"
     MEDIUM = "medium"
     HIGH = "high"
-
-
-class CouplingCategory(str, Enum):
-    LOW = "Low"
-    MEDIUM = "Medium"
-    HIGH = "High"
-
-
-class InteractionCategory(str, Enum):
-    LINEAR = "Linear"
-    MODERATE = "Moderate"
-    COMPLEX = "Complex"
 
 
 # Ordinal positions for the enums whose declaration order is meaningful.
@@ -183,7 +169,6 @@ class AssessmentProfile:
     intervention: InterventionIndicators
     targets: tuple[TargetAssessment, ...]
     safety: SafetyProfile
-    schema_version: int = SCHEMA_VERSION
 
 
 class ErrorKind(str, Enum):
@@ -313,31 +298,6 @@ def validate_profile(profile: AssessmentProfile) -> list[DocumentError]:
     _validate_targets(out, profile.targets, _validate_target)
     _validate_safety(out, profile.safety)
     return out
-
-
-def _band(score: int, what: str) -> int:
-    # Scores 1-5 fold into three bands: 1-2 low, 3 middle, 4-5 high.
-    if not 1 <= score <= 5:
-        raise ValueError(f"{what} must be between 1 and 5, got {score!r}")
-    if score <= 2:
-        return 0
-    if score == 3:
-        return 1
-    return 2
-
-
-_COUPLING_BANDS = tuple(CouplingCategory)
-_INTERACTION_BANDS = tuple(InteractionCategory)
-
-
-def coupling_category(score: int) -> CouplingCategory:
-    """Band a 1-5 coupling score into the accident-risk table's row labels."""
-    return _COUPLING_BANDS[_band(score, "coupling score")]
-
-
-def interaction_category(score: int) -> InteractionCategory:
-    """Band a 1-5 interaction-complexity score into the table's column labels."""
-    return _INTERACTION_BANDS[_band(score, "interaction complexity score")]
 
 
 def attention_magnitude(attention: HumanAttention) -> AttentionInterval:

@@ -209,6 +209,18 @@ class RuleDefinition:
     measures: tuple[Measure, ...]
 
 
+def _prose_join(items: list[str], conjunction: str = "and") -> str:
+    if len(items) <= 2:
+        return f" {conjunction} ".join(items)
+    return ", ".join(items[:-1]) + f", {conjunction} " + items[-1]
+
+
+def _party_degrees(cal: Calibration, form: str = "{}") -> str:
+    """The significant party degrees up to the table's 4th, joined by "or"; form gets each n and its ending."""
+    ends = {1: "st", 2: "nd", 3: "rd"}
+    return _prose_join([form.format(n, ends.get(n, "th")) for n in range(cal.significant_party_min, 5)], "or")
+
+
 _DC = DEFAULT_CALIBRATION  # the cutoffs the conditions name
 
 RULES: tuple[RuleDefinition, ...] = (
@@ -242,7 +254,7 @@ RULES: tuple[RuleDefinition, ...] = (
         "If there is significant damage possible to 3rd and 4th parties, then an ethics "
         "committee is absolutely necessary for continued operation.",
         f"any target's damage/party profile pairs damage at {_DC.significant_damage_min.value.lower()} or "
-        "above with party degree 3 or 4",
+        f"above with party degree {_party_degrees(_DC)}",
         (Measure.ETHICS_COMMITTEE,),
     ),
     RuleDefinition(
@@ -270,12 +282,6 @@ RULES: tuple[RuleDefinition, ...] = (
         (Measure.AIR_GAP_STRICT_PROTOCOLS, Measure.ETHICS_BOARD, Measure.AI_SAFETY_EXPERT_CONSULTATION),
     ),
 )
-
-
-def _prose_join(items: list[str]) -> str:
-    if len(items) <= 2:
-        return " and ".join(items)
-    return ", ".join(items[:-1]) + ", and " + items[-1]
 
 
 def _sentence(parts: list[str], tail: str = "") -> str:
@@ -405,9 +411,10 @@ def _explain_r3(facts: _Facts, hits: list[int]) -> str:
 def _explain_r4(facts: _Facts, hits: list[int]) -> str:
     floor, codes = facts.cal.significant_damage_min.value.lower(), [dp.code for dp in facts.parties]
     if hits:
-        return f"Damage at {floor} or above can reach 3rd or 4th parties: {_target_listing(facts, hits, codes)}."
-    everyone = _target_listing(facts, range(len(codes)), codes)
-    return f"No target combines damage at {floor} or above with 3rd- or 4th-party reach: {everyone}."
+        reach = _party_degrees(facts.cal, "{}{}")
+        return f"Damage at {floor} or above can reach {reach} parties: {_target_listing(facts, hits, codes)}."
+    everyone, reach = _target_listing(facts, range(len(codes)), codes), _party_degrees(facts.cal, "{}{}-")
+    return f"No target combines damage at {floor} or above with {reach}party reach: {everyone}."
 
 
 def _explain_r5(facts: _Facts, hits: list[int]) -> str:

@@ -1,11 +1,11 @@
 """Decision tables mapping schema factors to risk results.
 
-Two exact 3x3 lookups drive the recommendation rules: coupling category x
-interaction category yields the accident-risk level, and energy level x
-knowledge gap yields the damage magnitude together with the party degree,
-i.e. how far from the system its victims sit (1st parties operate it, 2nd
-parties work alongside or use it, 3rd parties are bystanders, 4th parties
-are future generations).
+Two exact 3x3 lookups drive the recommendation rules: coupling x
+interaction complexity, both banded here from 1-5 scores, yields the
+accident-risk level, and energy level x knowledge gap yields the damage
+magnitude together with the party degree, i.e. how far from the system its
+victims sit (1st parties operate it, 2nd parties work alongside or use it,
+3rd parties are bystanders, 4th parties are future generations).
 
 A five-class damage ordinal classifies max-damage estimates so the rules
 can speak of "trivial" and "high damage potential" targets; its monetary
@@ -18,16 +18,19 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import (
-    CouplingCategory,
-    EnergyLevel,
-    InteractionCategory,
-    KnowledgeGap,
-    MaxDamage,
-    Reputational,
-    TargetAssessment,
-    _band,
-)
+from .model import EnergyLevel, KnowledgeGap, MaxDamage, Reputational, TargetAssessment
+
+
+class CouplingCategory(str, Enum):
+    LOW = "Low"
+    MEDIUM = "Medium"
+    HIGH = "High"
+
+
+class InteractionCategory(str, Enum):
+    LINEAR = "Linear"
+    MODERATE = "Moderate"
+    COMPLEX = "Complex"
 
 
 class RiskLevel(str, Enum):
@@ -110,8 +113,29 @@ def damage_and_party(energy: EnergyLevel, gap: KnowledgeGap) -> DamagePartyProfi
     return DAMAGE_PARTY_TABLE[(EnergyLevel(energy), KnowledgeGap(gap))]
 
 
-# ACCIDENT_RISK_TABLE by _band index, in coupling_category's and interaction_category's order.
-_ACCIDENT_RISK_GRID = tuple(tuple(ACCIDENT_RISK_TABLE[(c, x)] for x in InteractionCategory) for c in CouplingCategory)
+def _band(score: int, what: str) -> int:
+    # Scores 1-5 fold into three bands: 1-2 low, 3 middle, 4-5 high.
+    if not 1 <= score <= 5:
+        raise ValueError(f"{what} must be between 1 and 5, got {score!r}")
+    return 0 if score <= 2 else 1 if score == 3 else 2
+
+
+_COUPLING_BANDS = tuple(CouplingCategory)
+_INTERACTION_BANDS = tuple(InteractionCategory)
+
+
+def coupling_category(score: int) -> CouplingCategory:
+    """Band a 1-5 coupling score into the accident-risk table's row labels."""
+    return _COUPLING_BANDS[_band(score, "coupling score")]
+
+
+def interaction_category(score: int) -> InteractionCategory:
+    """Band a 1-5 interaction-complexity score into the table's column labels."""
+    return _INTERACTION_BANDS[_band(score, "interaction complexity score")]
+
+
+# ACCIDENT_RISK_TABLE by _band index, through the same bands as the two functions above.
+_ACCIDENT_RISK_GRID = tuple(tuple(ACCIDENT_RISK_TABLE[(c, x)] for x in _INTERACTION_BANDS) for c in _COUPLING_BANDS)
 
 
 def target_accident_risk(target: TargetAssessment) -> RiskLevel:

@@ -7,6 +7,7 @@ randomness flows from the seed so any failure message reproduces the case.
 
 from __future__ import annotations
 
+import json
 import random
 
 from airisk import (
@@ -96,6 +97,61 @@ def check_round_trip(seed: int, count: int) -> None:
         assert serialize_assessment(reparsed) == data, (
             f"canonical bytes not idempotent (seed {seed}, case {i})"
         )
+
+
+def walk_document(node, path=()):
+    """Every (path, node) of a JSON object tree, the root first, with keys and indices as path parts."""
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from walk_document(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from walk_document(value, path + (i,))
+
+
+def edit_document(rng: random.Random, doc: dict) -> None:
+    """One structural edit: delete a member, add a key, or replace a value."""
+    path, node = rng.choice(list(walk_document(doc)))
+    if path and rng.random() < 0.2:
+        parent = doc
+        for part in path[:-1]:
+            parent = parent[part]
+        del parent[path[-1]]
+    elif isinstance(node, dict) and rng.random() < 0.3:
+        node[rng.choice(("bogus", "//", "name", "level"))] = rng.choice((1, "x", None))
+    elif path:
+        parent = doc
+        for part in path[:-1]:
+            parent = parent[part]
+        parent[path[-1]] = rng.choice(
+            (None, True, 0, -1, 3, 10**400, 1.5, float("nan"), float("inf"), "", "x", "\ud800",
+             "Medium", "Severe", "R1", "seconds", "days", [], {}, [1, "a"], {"level": 0}, [[[]]])
+        )
+
+
+def fuzz_document(rng: random.Random, profiles: list) -> bytes:
+    """Assessment bytes from one of the profiles: the valid document, the
+    document after one structural edit or with one integer moved, often out
+    of its range, a truncation, or else random bytes."""
+    data = serialize_assessment(rng.choice(profiles))
+    roll = rng.random()
+    if roll < 0.3:
+        return data
+    if roll < 0.7:
+        doc = json.loads(data)
+        if roll < 0.5:
+            edit_document(rng, doc)
+        else:
+            *parents, last = rng.choice([path for path, node in walk_document(doc) if type(node) is int])
+            node = doc
+            for part in parents:
+                node = node[part]
+            node[last] = rng.choice((-1, 0, 1, 4, 6, 99))
+        return json.dumps(doc, indent=2).encode("utf-8")
+    if roll < 0.85:
+        return data[: rng.randrange(len(data))]
+    return rng.randbytes(rng.randrange(0, 64))
 
 
 _PATHOLOGICAL = (

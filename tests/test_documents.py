@@ -8,6 +8,7 @@ import pytest
 
 from airisk import (
     AssessmentDocumentError,
+    AssessmentProfile,
     ErrorKind,
     MaxDamage,
     RuleId,
@@ -235,6 +236,16 @@ def test_canonical_output_shape(roomba):
     assert positions == sorted(positions)
     assert '"projected"' not in text  # roomba projects no growth
     assert '"position"' not in text
+
+
+def test_the_schema_version_belongs_to_the_document_not_the_profile(roomba):
+    parts = dict(intervention=roomba.intervention, targets=roomba.targets, safety=roomba.safety)
+    with pytest.raises(TypeError):
+        AssessmentProfile("Probe", "unit", **parts, schema_version=2)
+    built = AssessmentProfile("Probe", "unit", **parts)
+    data = serialize_assessment(built)
+    assert parse_assessment(data) == built
+    assert list(json.loads(data).items())[0] == ("schema_version", 1)
 
 
 def test_integer_literal_over_the_digit_limit_is_a_syntax_error(roomba_doc):

@@ -35,6 +35,7 @@ from airisk.tables import DEFAULT_DAMAGE_THRESHOLDS
 
 from conftest import GOLDEN
 from genprofiles import append_target, raise_observability, raise_one_safety_level, random_profile
+from propchecks import edit_document, walk_document
 
 
 @pytest.mark.parametrize(
@@ -202,16 +203,6 @@ def _report_object() -> dict:
     return doc
 
 
-def _walk(node, path=()):
-    yield path, node
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from _walk(value, path + (key,))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from _walk(value, path + (i,))
-
-
 def _dotted(path) -> str:
     out = ""
     for part in path:
@@ -229,7 +220,7 @@ def _with(doc: dict, path, value) -> bytes:
 
 
 _WRONG_TYPE = {str: 5, bool: "yes", int: "3", float: "x", list: "Robot Movement", dict: []}
-_REPORT_PATHS = [path for path, _ in _walk(_report_object()) if path]
+_REPORT_PATHS = [path for path, _ in walk_document(_report_object()) if path]
 
 
 def test_the_strictness_table_covers_a_report_that_parses_back_to_its_bytes():
@@ -252,7 +243,7 @@ def test_a_wrong_typed_value_names_its_path(path):
 
 
 @pytest.mark.parametrize(
-    "path", [path for path, node in _walk(_report_object()) if isinstance(node, dict)], ids=_dotted
+    "path", [path for path, node in walk_document(_report_object()) if isinstance(node, dict)], ids=_dotted
 )
 def test_an_unknown_key_is_rejected_at_every_level(path):
     named = _dotted(path + ("bogus",))
@@ -411,26 +402,6 @@ def test_non_json_and_deep_nesting_raise_value_error(data):
         parse_machine_report(data)
 
 
-def _edit(rng: random.Random, doc: dict) -> None:
-    """One structural edit: delete a member, add a key, or replace a value."""
-    path, node = rng.choice(list(_walk(doc)))
-    if path and rng.random() < 0.2:
-        parent = doc
-        for part in path[:-1]:
-            parent = parent[part]
-        del parent[path[-1]]
-    elif isinstance(node, dict) and rng.random() < 0.3:
-        node[rng.choice(("bogus", "//", "name", "level"))] = rng.choice((1, "x", None))
-    elif path:
-        parent = doc
-        for part in path[:-1]:
-            parent = parent[part]
-        parent[path[-1]] = rng.choice(
-            (None, True, 0, -1, 3, 10**400, 1.5, float("nan"), float("inf"), "", "x", "\ud800",
-             "Medium", "Severe", "R1", "seconds", "days", [], {}, [1, "a"], {"level": 0}, [[[]]])
-        )
-
-
 # One-field variants of a profile, each still a valid profile.
 _VARIANTS = (lambda rng, profile: raise_observability(profile), raise_one_safety_level, append_target)
 
@@ -443,7 +414,7 @@ def _mutated_report(rng: random.Random, profiles: list, reports: list[bytes]) ->
         if rng.random() < 0.5:
             return data
         doc = json.loads(data)
-        _edit(rng, doc)
+        edit_document(rng, doc)
         return json.dumps(doc, indent=2).encode("utf-8")
     data = rng.choice(reports)
     roll = rng.random()
@@ -456,7 +427,7 @@ def _mutated_report(rng: random.Random, profiles: list, reports: list[bytes]) ->
         return bytes(flipped)
     doc = json.loads(data)
     for _ in range(rng.randint(1, 3)):
-        _edit(rng, doc)
+        edit_document(rng, doc)
     return json.dumps(doc, indent=rng.choice((None, 2))).encode("utf-8")
 
 
@@ -503,7 +474,7 @@ def test_readers_and_writers_match_their_pinned_digest():
             lines.append(str(e))
     for _ in range(1000):
         doc = json.loads(serialize_assessment(rng.choice(profiles)))
-        _edit(rng, doc)
+        edit_document(rng, doc)
         try:
             parse_assessment(json.dumps(doc), strict=True)
             lines.append("ok")

@@ -162,6 +162,25 @@ def test_the_rationale_names_the_calibrations_cutoff():
     assert _explain(strict, _decide(strict))[2].rationale == "Accident risk reaches high or higher for edgy (H)."
 
 
+def test_r4_names_the_calibrations_party_cutoff(hal9000, roomba):
+    def r4(p, cutoff):
+        d = evaluate_rules(p)._facts
+        facts = _Facts(p, p.targets, Calibration(significant_party_min=cutoff), d.classes, d.risks, d.parties)
+        return _explain(facts, _decide(facts))[3].rationale
+
+    assert RULES[3].condition.endswith(" above with party degree 3 or 4")
+    reach = "Damage at medium or above can reach {} parties: {}."
+    assert r4(hal9000, 3) == reach.format("3rd or 4th", "Navigation (M3) and Social interactions (M4)")
+    assert r4(hal9000, 4) == reach.format("4th", "Social interactions (M4)")
+    assert r4(hal9000, 2) == reach.format("2nd, 3rd, or 4th", "Navigation (M3) and Social interactions (M4)")
+    none = "No target combines damage at medium or above with {}party reach: " + (
+        "Robot Movement (L2) and Cleanliness of Floor (L2)."
+    )
+    assert r4(roomba, 3) == none.format("3rd- or 4th-")
+    assert r4(roomba, 4) == none.format("4th-")
+    assert r4(roomba, 2) == none.format("2nd-, 3rd-, or 4th-")
+
+
 # -- R4: significant damage reaching 3rd or 4th parties --
 
 @pytest.mark.parametrize(
