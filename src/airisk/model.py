@@ -73,6 +73,13 @@ class KnowledgeGap(str, Enum):
 # Ordinal positions for the enums whose declaration order is meaningful.
 ATTENTION_RANK = {v: i for i, v in enumerate(AttentionInterval)}
 
+# Per-operation code reads enum members through names bound once, as below, and
+# their text through ``_value_``: ``Enum.MEMBER`` costs about 100 ns on Python
+# 3.10 and 3.11 (the metaclass's __getattr__; a plain class attribute, 14 ns),
+# and ``.value`` or ``.name`` 110-170 ns on 3.10-3.13, against 15-22 ns for ``_value_``.
+_PERIODIC, _INTERMITTENT = AttentionMode
+_HOURS = AttentionInterval.HOURS
+
 
 @dataclass(frozen=True)
 class HumanAttention:
@@ -145,6 +152,8 @@ class SafetyDimension:
 
 @dataclass(frozen=True)
 class SafetyProfile:
+    """The four AI-safety dimensions, each a current and a projected level."""
+
     autonomy: SafetyDimension
     goal_complexity: SafetyDimension
     escape_potential: SafetyDimension
@@ -217,7 +226,7 @@ def _out_of_range(path: str, value: float, lo: int, hi: int) -> DocumentError:
 
 def _validate_attention(out: list[DocumentError], att: HumanAttention) -> None:
     prefix = "intervention.attention"
-    if att.mode is AttentionMode.PERIODIC:
+    if att.mode is _PERIODIC:
         if att.checks_per_day is None:
             out.append(_violation(f"{prefix}.checks_per_day", "required when mode is periodic"))
         elif att.checks_per_day < 1:
@@ -306,10 +315,10 @@ def attention_magnitude(attention: HumanAttention) -> AttentionInterval:
     Intermittent attention keeps its interval; periodic attention (one or
     more checks per day) means gaps of at most hours.
     """
-    if attention.mode is AttentionMode.INTERMITTENT:
+    if attention.mode is _INTERMITTENT:
         if attention.interval is None:
             raise ValueError("intermittent attention requires an interval")
         return attention.interval
     if attention.checks_per_day is None or attention.checks_per_day < 1:
         raise ValueError("periodic attention requires checks_per_day >= 1")
-    return AttentionInterval.HOURS
+    return _HOURS

@@ -35,6 +35,10 @@ class ReportFormat(str, Enum):
     MACHINE = "machine"
 
 
+_MARKDOWN, _MACHINE = ReportFormat.MARKDOWN, ReportFormat.MACHINE
+_NO_REPUTATION, _DAYS_RANK = Reputational.NONE, ATTENTION_RANK[AttentionInterval.DAYS]
+
+
 def format_usd(amount: float) -> str:
     """Dollar text: exact billions/millions humanized, otherwise separators."""
     if isinstance(amount, float) and amount.is_integer():
@@ -57,7 +61,7 @@ def format_max_damage(d: MaxDamage) -> str:
         parts.append("1 life" if d.lives_at_risk == 1 else f"{d.lives_at_risk} lives")
     if parts:
         return " + ".join(parts)
-    if d.reputational is not None and d.reputational is not Reputational.NONE:
+    if d.reputational is not None and d.reputational is not _NO_REPUTATION:
         return "Reputation loss"
     return "none"
 
@@ -69,9 +73,9 @@ def format_attention(att: HumanAttention) -> str:
         return "1 time per day" if n == 1 else f"{n} times per day"
     interval = att.interval
     # Gaps of a day or more get the explicit "intermittent" marker.
-    if ATTENTION_RANK[interval] >= ATTENTION_RANK[AttentionInterval.DAYS]:
-        return f"intermittent, {interval.value}"
-    return interval.value
+    if ATTENTION_RANK[interval] >= _DAYS_RANK:
+        return f"intermittent, {interval._value_}"
+    return interval._value_
 
 
 def build_report(
@@ -126,7 +130,7 @@ def _aligned_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def _intervention_rows(ind: InterventionIndicators) -> list[tuple[str, str]]:
     return [
-        ("Time Delay", ind.time_delay.value),
+        ("Time Delay", ind.time_delay._value_),
         ("Observability", str(ind.observability)),
         ("Human Attention", format_attention(ind.attention)),
         ("Correctability", str(ind.correctability)),
@@ -175,17 +179,17 @@ def _calibration_rows(cal: Calibration) -> list[tuple[str, str]]:
         "any lives at risk are catastrophic"
     )
     return [
-        ("very small time delay", ", ".join(d.value for d in cal.very_small_time_delays)),
+        ("very small time delay", ", ".join([d._value_ for d in cal.very_small_time_delays])),
         ("poor observability", f"at most {cal.poor_observability_max} (scale 0-5)"),
-        ("poor attention", f"gaps of {cal.poor_attention_min.value} or more"),
+        ("poor attention", f"gaps of {cal.poor_attention_min._value_} or more"),
         ("low correctability", f"at most {cal.low_correctability_max} (scale 0-5)"),
-        ("accident risk floor", f"{cal.accident_risk_min.value.lower()} or higher (R3)"),
+        ("accident risk floor", f"{cal.accident_risk_min._value_.lower()} or higher (R3)"),
         (
             "other-party significance",
-            f"damage {cal.significant_damage_min.value.lower()} or above at party degree "
+            f"damage {cal.significant_damage_min._value_.lower()} or above at party degree "
             f"{cal.significant_party_min}+ (R4)",
         ),
-        ("high damage potential", f"class {cal.high_damage_min.value.lower()} or worse (R5)"),
+        ("high damage potential", f"class {cal.high_damage_min._value_.lower()} or worse (R5)"),
         ("safety review level", f"{cal.safety_review_level} or higher, current (R6)"),
         ("safety critical level", f"{cal.safety_critical_level}, current or projected (R7)"),
         ("damage class bands", bands),
@@ -196,7 +200,7 @@ def _calibration_rows(cal: Calibration) -> list[tuple[str, str]]:
 def _finding_status(finding: Finding) -> str:
     marker = "[X]" if finding.triggered else "[ ]"
     status = "triggered" if finding.triggered else "not triggered"
-    return f"{marker} {finding.rule.value} {status}"
+    return f"{marker} {finding.rule._value_} {status}"
 
 
 def _measures_text(measures: tuple[Measure, ...]) -> str:
@@ -261,7 +265,7 @@ def _render_markdown(report: RiskReport) -> str:
     lines += ["", "## Findings", ""]
     for finding in report.rule_findings.findings:
         status = "triggered" if finding.triggered else "not triggered"
-        parts = [f"**{finding.rule.value}: {status}.**"]
+        parts = [f"**{finding.rule._value_}: {status}.**"]
         if finding.measures:
             parts.append(f"Measures: {_measures_text(finding.measures)}.")
         if finding.targets_involved:
@@ -277,8 +281,8 @@ def _render_markdown(report: RiskReport) -> str:
 def render_report(report: RiskReport, format: ReportFormat | str, *, color: bool = False) -> bytes:
     """Render a report in the requested format as UTF-8 bytes."""
     fmt = ReportFormat(format)
-    if fmt is ReportFormat.MACHINE:
+    if fmt is _MACHINE:
         return canonical_json_bytes(report)
-    if fmt is ReportFormat.MARKDOWN:
+    if fmt is _MARKDOWN:
         return _render_markdown(report).encode("utf-8")
     return _render_text(report, color).encode("utf-8")

@@ -215,13 +215,18 @@ def _prose_join(items: list[str], conjunction: str = "and") -> str:
     return ", ".join(items[:-1]) + f", {conjunction} " + items[-1]
 
 
-def _party_degrees(cal: Calibration, form: str = "{}") -> str:
-    """The significant party degrees up to the table's 4th, joined by "or"; form gets each n and its ending."""
+def _party_degrees(cutoff: int, form: str = "{}") -> str:
+    """The party degrees from cutoff up to the table's 4th, joined by "or"; form gets each n and its ending."""
     ends = {1: "st", 2: "nd", 3: "rd"}
-    return _prose_join([form.format(n, ends.get(n, "th")) for n in range(cal.significant_party_min, 5)], "or")
+    return _prose_join([form.format(n, ends.get(n, "th")) for n in range(cutoff, 5)], "or")
 
 
 _DC = DEFAULT_CALIBRATION  # the cutoffs the conditions name
+_NEGLIGIBLE = DamageClass.NEGLIGIBLE  # bound once, as model.py explains
+# Rationale phrases that depend on a cutoff alone, built once per cutoff: R3's
+# levels below each floor, and R4's party degrees, from the 1st under a lower cutoff.
+_RISKS_BELOW = {floor: " or ".join([r._value_.lower() for r in RISK_RANK][:i]) for floor, i in RISK_RANK.items()}
+_PARTY_REACH = {n: (_party_degrees(n, "{}{}"), _party_degrees(n, "{}{}-")) for n in range(1, 6)}
 
 RULES: tuple[RuleDefinition, ...] = (
     RuleDefinition(
@@ -254,7 +259,7 @@ RULES: tuple[RuleDefinition, ...] = (
         "If there is significant damage possible to 3rd and 4th parties, then an ethics "
         "committee is absolutely necessary for continued operation.",
         f"any target's damage/party profile pairs damage at {_DC.significant_damage_min.value.lower()} or "
-        f"above with party degree {_party_degrees(_DC)}",
+        f"above with party degree {_party_degrees(_DC.significant_party_min)}",
         (Measure.ETHICS_COMMITTEE,),
     ),
     RuleDefinition(
@@ -314,7 +319,7 @@ def _r1_conditions(facts: _Facts) -> tuple[bool, bool, bool, bool]:
         ind.time_delay in cal.very_small_time_delays,
         ind.observability <= cal.poor_observability_max,
         ATTENTION_RANK[facts.magnitude] >= ATTENTION_RANK[cal.poor_attention_min],
-        facts.worst is DamageClass.NEGLIGIBLE,
+        facts.worst is _NEGLIGIBLE,
     )
 
 
@@ -358,20 +363,20 @@ def _explain_r1(facts: _Facts, fired: bool) -> str:
     ind, cal = facts.intervention, facts.cal
     delay_small, obs_poor, att_poor, trivial = _r1_conditions(facts)
     if fired:
-        parts = [f"time delay is {ind.time_delay.value}"]
+        parts = [f"time delay is {ind.time_delay._value_}"]
         if obs_poor:
             parts.append(f"observability is {ind.observability} (at most {cal.poor_observability_max})")
         if att_poor:
-            parts.append(f"attention gaps reach {facts.magnitude.value}")
-        worst = facts.worst.value.lower()
+            parts.append(f"attention gaps reach {facts.magnitude._value_}")
+        worst = facts.worst._value_.lower()
         return _sentence(parts, f"; effects are not trivial (worst target damage class {worst})")
     parts = []
     if not delay_small:
-        parts.append(f"time delay is {ind.time_delay.value} (not sub-minute)")
+        parts.append(f"time delay is {ind.time_delay._value_} (not sub-minute)")
     if not (obs_poor or att_poor):
         parts.append(
             f"observability is {ind.observability} (above {cal.poor_observability_max}) and "
-            f"attention gaps are {facts.magnitude.value} (under {cal.poor_attention_min.value})"
+            f"attention gaps are {facts.magnitude._value_} (under {cal.poor_attention_min._value_})"
         )
     if trivial:
         parts.append("every target's damage class is negligible")
@@ -403,26 +408,26 @@ def _target_listing(facts: _Facts, indices, codes: list[str]) -> str:
 def _explain_r3(facts: _Facts, hits: list[int]) -> str:
     floor, letters = facts.cal.accident_risk_min, [risk.letter for risk in facts.risks]
     if hits:
-        return f"Accident risk reaches {floor.value.lower()} or higher for {_target_listing(facts, hits, letters)}."
-    below = " or ".join([r.value.lower() for r in list(RISK_RANK)[: RISK_RANK[floor]]])
-    return f"Every target's accident risk is {below}: {_target_listing(facts, range(len(letters)), letters)}."
+        return f"Accident risk reaches {floor._value_.lower()} or higher for {_target_listing(facts, hits, letters)}."
+    everyone = _target_listing(facts, range(len(letters)), letters)
+    return f"Every target's accident risk is {_RISKS_BELOW[floor]}: {everyone}."
 
 
 def _explain_r4(facts: _Facts, hits: list[int]) -> str:
-    floor, codes = facts.cal.significant_damage_min.value.lower(), [dp.code for dp in facts.parties]
+    floor, codes = facts.cal.significant_damage_min._value_.lower(), [dp.code for dp in facts.parties]
+    reach, reach_adjective = _PARTY_REACH[min(max(facts.cal.significant_party_min, 1), 5)]
     if hits:
-        reach = _party_degrees(facts.cal, "{}{}")
         return f"Damage at {floor} or above can reach {reach} parties: {_target_listing(facts, hits, codes)}."
-    everyone, reach = _target_listing(facts, range(len(codes)), codes), _party_degrees(facts.cal, "{}{}-")
-    return f"No target combines damage at {floor} or above with {reach}party reach: {everyone}."
+    everyone = _target_listing(facts, range(len(codes)), codes)
+    return f"No target combines damage at {floor} or above with {reach_adjective}party reach: {everyone}."
 
 
 def _explain_r5(facts: _Facts, hits: list[int]) -> str:
-    classes = [cls.value.lower() for cls in facts.classes]
+    classes = [cls._value_.lower() for cls in facts.classes]
     if hits:
         return f"Damage potential is high for {_target_listing(facts, hits, classes)}."
     everyone = _target_listing(facts, range(len(classes)), classes)
-    return f"No target's damage class reaches {facts.cal.high_damage_min.value.lower()}: {everyone}."
+    return f"No target's damage class reaches {facts.cal.high_damage_min._value_.lower()}: {everyone}."
 
 
 def _explain_r6(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:

@@ -44,7 +44,7 @@ class RiskLevel(str, Enum):
     @property
     def letter(self) -> str:
         """Single-letter table code (L/M/H/C)."""
-        return self.value[0]
+        return self._value_[0]
 
 
 class DamageClass(str, Enum):
@@ -75,6 +75,8 @@ class DamagePartyProfile:
 
 
 _L, _M, _H, _C = RiskLevel.LOW, RiskLevel.MEDIUM, RiskLevel.HIGH, RiskLevel.CATASTROPHIC
+_NEGLIGIBLE, _MINOR, _MAJOR, _SEVERE, _CATASTROPHIC = DamageClass
+_REPUTATION_MINOR, _REPUTATION_MAJOR = Reputational.MINOR, Reputational.MAJOR
 
 # Accident severity by coupling (rows) and interaction complexity (columns).
 ACCIDENT_RISK_TABLE: dict[tuple[CouplingCategory, InteractionCategory], RiskLevel] = {
@@ -191,14 +193,13 @@ def damage_class(d: MaxDamage, thresholds: DamageThresholds = DEFAULT_DAMAGE_THR
     money and lives, so the classification stays conservative.  Major
     reputational damage alone reaches Severe, minor alone reaches Minor.
     """
-    monetary = d.monetary_usd or 0
-    reputational = d.reputational or Reputational.NONE
+    monetary, reputational = d.monetary_usd or 0, d.reputational
     if (d.lives_at_risk or 0) > 0 or monetary >= thresholds.catastrophic:
-        return DamageClass.CATASTROPHIC
-    if monetary >= thresholds.severe or reputational is Reputational.MAJOR:
-        return DamageClass.SEVERE
+        return _CATASTROPHIC
+    if monetary >= thresholds.severe or reputational is _REPUTATION_MAJOR:
+        return _SEVERE
     if monetary >= thresholds.major:
-        return DamageClass.MAJOR
-    if monetary >= thresholds.minor or reputational is Reputational.MINOR:
-        return DamageClass.MINOR
-    return DamageClass.NEGLIGIBLE
+        return _MAJOR
+    if monetary >= thresholds.minor or reputational is _REPUTATION_MINOR:
+        return _MINOR
+    return _NEGLIGIBLE

@@ -238,6 +238,10 @@ def test_canonical_output_shape(roomba):
     assert '"position"' not in text
 
 
+def test_a_document_with_every_field_at_its_default_is_an_empty_object():
+    assert canonical_json_bytes(MaxDamage()) == b"{}\n"
+
+
 def test_the_schema_version_belongs_to_the_document_not_the_profile(roomba):
     parts = dict(intervention=roomba.intervention, targets=roomba.targets, safety=roomba.safety)
     with pytest.raises(TypeError):

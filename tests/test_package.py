@@ -1,12 +1,17 @@
 """The package's shape: each module imports only the layers below it, the
-root exports resolve, each fact sits in the module that decides it, and the
+root exports resolve, each fact sits in the module that decides it, the
+report path reads no enum member's text through a descriptor, and the
 README's samples are what the tool prints."""
 
 import ast
 import dataclasses
+import enum
+import sys
+import types
 
 import airisk
 from airisk import AssessmentProfile, RiskReport, cli, model, tables
+from airisk import build_report, evaluate_rules, parse_assessment, render_report
 from airisk.documents import SCHEMA, _version
 
 from conftest import GOLDEN, PKG_ROOT
@@ -41,6 +46,35 @@ def test_each_fact_sits_in_the_module_that_decides_it():
     assert "schema_version" not in {field.name for field in dataclasses.fields(AssessmentProfile)}
     for cls in (AssessmentProfile, RiskReport):
         assert SCHEMA[cls][0] == (("schema_version", None), _version), cls.__name__
+
+
+def test_the_report_path_reads_no_enum_member_through_a_descriptor():
+    """Parse, decide, build, write the findings and render all three formats
+    reading no ``.value`` or ``.name``, whose descriptor is a Python-level
+    ``__get__`` in enum.py (types.py before 3.11): per-operation code reads
+    a member's text as ``_value_``."""
+    descriptors = (enum.__file__, types.__file__)
+    entered = []
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "__get__" and code.co_filename in descriptors:
+            entered.append(f"{frame.f_back.f_code.co_name}:{frame.f_back.f_lineno}")
+
+    for name in ("hal9000", "roomba"):
+        data = (PKG_ROOT / "fixtures" / f"{name}.json").read_bytes()
+        previous = sys.getprofile()
+        sys.setprofile(watch)
+        try:
+            profile = parse_assessment(data)
+            evaluate_rules(profile).triggered_rules()
+            report = build_report(profile)
+            report.rule_findings.findings
+            for fmt in ("text", "markdown", "machine"):
+                render_report(report, fmt)
+        finally:
+            sys.setprofile(previous)
+        assert not entered, f"{name} reads enum descriptors at {entered}"
 
 
 def _readme_block(after: str) -> list[str]:

@@ -181,6 +181,15 @@ def test_r4_names_the_calibrations_party_cutoff(hal9000, roomba):
     assert r4(roomba, 2) == none.format("2nd-, 3rd-, or 4th-")
 
 
+def test_r4_reads_a_party_cutoff_below_the_1st_degree_as_the_1st(hal9000):
+    d = evaluate_rules(hal9000)._facts
+    for cutoff in (1, 0, -3):
+        cal = Calibration(significant_party_min=cutoff)
+        facts = _Facts(hal9000, hal9000.targets, cal, d.classes, d.risks, d.parties)
+        rationale = _explain(facts, _decide(facts))[3].rationale
+        assert rationale.startswith("Damage at medium or above can reach 1st, 2nd, 3rd, or 4th parties: "), cutoff
+
+
 # -- R4: significant damage reaching 3rd or 4th parties --
 
 @pytest.mark.parametrize(
@@ -302,6 +311,13 @@ def test_decision_pass_agrees_with_the_rationale_text():
         invalid = dataclasses.replace(p, targets=())
         with pytest.raises(InvalidProfileError):
             evaluate_rules(invalid)
+
+
+def test_a_report_equals_only_reports_and_shows_its_findings(roomba):
+    report = evaluate_rules(roomba)
+    assert report.__eq__(report.findings) is NotImplemented
+    assert report != report.findings
+    assert repr(report) == f"RuleReport(findings={report.findings!r})"
 
 
 def test_findings_match_their_pinned_digest():

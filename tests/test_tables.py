@@ -1,5 +1,6 @@
 """Decision-table lookups, quadrant placement, and damage classes."""
 
+import math
 import re
 
 import pytest
@@ -120,6 +121,12 @@ def test_quadrant_rejects_points_off_the_unit_square(gap, energy):
 def test_damage_thresholds_must_be_non_decreasing():
     with pytest.raises(ValueError):
         DamageThresholds(minor=100, major=50, severe=10, catastrophic=5)
+
+
+@pytest.mark.parametrize("bound", [{"catastrophic": math.inf}, {"minor": -math.inf}])
+def test_damage_thresholds_must_be_finite_amounts(bound):
+    with pytest.raises(ValueError, match="damage thresholds must be finite amounts"):
+        DamageThresholds(**bound)
 
 
 @pytest.mark.parametrize(
