@@ -1,9 +1,11 @@
 """Command-line front end.
 
 One tool, five subcommands: validate and assess work on assessment
-documents; rules, tables, and init need no input.  Reports and catalogs go
-to standard output (or --out); every diagnostic goes to standard error, so
-output can be piped or captured cleanly.
+documents; rules, tables, and init need no input.  This module parses the
+command line, reads and writes files, writes the init template and picks
+the exit code; ``report`` lays out every report and catalog.  Reports and
+catalogs go to standard output (or --out); every diagnostic goes to
+standard error, so output can be piped or captured cleanly.
 
 Exit codes: 0 success, 1 invariant violations in a well-formed document,
 2 document cannot be decoded, 3 unreadable or unwritable paths, 4 bad
@@ -35,16 +37,8 @@ from .model import (
     TimeDelay,
     validate_profile,
 )
-from .report import ReportFormat, _md_table, _measures_text, build_report, format_usd, render_report
-from .rules import RULES
-from .tables import (
-    DEFAULT_DAMAGE_THRESHOLDS,
-    CouplingCategory,
-    DamageThresholds,
-    InteractionCategory,
-    accident_risk,
-    damage_and_party,
-)
+from .report import ReportFormat, build_report, render_report, render_rules, render_tables
+from .tables import DEFAULT_DAMAGE_THRESHOLDS, DamageThresholds
 
 NO_COLOR_ENV = "AIRISK_NO_COLOR"
 
@@ -155,124 +149,12 @@ def cmd_assess(args) -> ExitStatus:
     return _emit(render_report(report, args.format, color=color), args.out)
 
 
-def _rules_text() -> str:
-    blocks = []
-    for rule in RULES:
-        measures = _measures_text(rule.measures)
-        blocks.append(
-            f"{rule.id.value}  {rule.text}\n    when: {rule.condition}\n    measures: {measures}"
-        )
-    return "\n\n".join(blocks) + "\n"
-
-
-def _rules_markdown() -> str:
-    lines = ["# Recommendation Rules"]
-    for rule in RULES:
-        lines += [
-            "",
-            f"## {rule.id.value}",
-            "",
-            rule.text,
-            "",
-            f"- When: {rule.condition}",
-            f"- Measures: {_measures_text(rule.measures)}",
-        ]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_rules(args) -> ExitStatus:
-    if args.format == ReportFormat.MACHINE.value:
-        payload = canonical_json_bytes({"schema_version": SCHEMA_VERSION, "rules": RULES})
-    elif args.format == ReportFormat.MARKDOWN.value:
-        payload = _rules_markdown().encode("utf-8")
-    else:
-        payload = _rules_text().encode("utf-8")
-    return _emit(payload, args.out)
-
-
-def _coupling_rows() -> tuple[list[str], list[list[str]]]:
-    header = ["Coupling"] + [c.value for c in InteractionCategory]
-    rows = []
-    for coupling in reversed(list(CouplingCategory)):
-        cells = [accident_risk(coupling, interaction).letter for interaction in InteractionCategory]
-        rows.append([coupling.value] + cells)
-    return header, rows
-
-
-def _energy_rows() -> tuple[list[str], list[list[str]]]:
-    header = ["Energy"] + [g.value.capitalize() for g in KnowledgeGap]
-    rows = []
-    for energy in reversed(list(EnergyLevel)):
-        cells = [damage_and_party(energy, gap).code for gap in KnowledgeGap]
-        rows.append([energy.value.capitalize()] + cells)
-    return header, rows
-
-
-def _damage_band_rows(t: DamageThresholds) -> list[tuple[str, str]]:
-    return [
-        ("negligible", "below every band"),
-        ("minor", f"at least {format_usd(t.minor)}, or minor reputational damage"),
-        ("major", f"at least {format_usd(t.major)}"),
-        ("severe", f"at least {format_usd(t.severe)}, or major reputational damage"),
-        ("catastrophic", f"at least {format_usd(t.catastrophic)}, or any lives at risk"),
-    ]
-
-
-def _tables_text(t: DamageThresholds) -> str:
-    # Cells join with " | " and no padding so rows stay stable grep targets.
-    lines = ["System Accident Risk (coupling x interaction complexity)", ""]
-    header, rows = _coupling_rows()
-    lines.append(" | ".join(header))
-    lines += [" | ".join(row) for row in rows]
-    lines += ["", "Damage and Affected Parties (energy level x knowledge gap)", ""]
-    header, rows = _energy_rows()
-    lines.append(" | ".join(header))
-    lines += [" | ".join(row) for row in rows]
-    lines += ["", "Damage Classes (max-damage calibration)", ""]
-    lines += [f"{name} | {band}" for name, band in _damage_band_rows(t)]
-    return "\n".join(lines) + "\n"
-
-
-def _tables_markdown(t: DamageThresholds) -> str:
-    lines = ["# Decision Tables", "", "## System Accident Risk", ""]
-    lines += _md_table(*_coupling_rows())
-    lines += ["", "## Damage and Affected Parties", ""]
-    lines += _md_table(*_energy_rows())
-    lines += ["", "## Damage Classes", ""]
-    lines += [f"- {name}: {band}" for name, band in _damage_band_rows(t)]
-    return "\n".join(lines) + "\n"
-
-
-def _tables_machine(t: DamageThresholds) -> bytes:
-    accident = {
-        coupling.value: {
-            interaction.value: accident_risk(coupling, interaction).value
-            for interaction in InteractionCategory
-        }
-        for coupling in reversed(list(CouplingCategory))
-    }
-    damage = {
-        energy.value: {gap.value: damage_and_party(energy, gap) for gap in KnowledgeGap}
-        for energy in reversed(list(EnergyLevel))
-    }
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "accident_risk": accident,
-        "damage_party": damage,
-        "damage_thresholds": t,
-    }
-    return canonical_json_bytes(doc)
+    return _emit(render_rules(args.format), args.out)
 
 
 def cmd_tables(args) -> ExitStatus:
-    t = args.damage_thresholds
-    if args.format == ReportFormat.MACHINE.value:
-        payload = _tables_machine(t)
-    elif args.format == ReportFormat.MARKDOWN.value:
-        payload = _tables_markdown(t).encode("utf-8")
-    else:
-        payload = _tables_text(t).encode("utf-8")
-    return _emit(payload, args.out)
+    return _emit(render_tables(args.damage_thresholds, args.format), args.out)
 
 
 def _choices(*enums: type[enum.Enum]) -> str:

@@ -75,6 +75,7 @@ COMMENT_KEY = "//"
 SCHEMA_VERSION = 1
 
 _MISSING = object()
+_SYNTAX, _UNKNOWN_FIELD, _MISSING_FIELD, _TYPE_MISMATCH, _INVARIANT = ErrorKind  # bound once, as model.py explains
 
 
 class AssessmentDocumentError(Exception):
@@ -108,7 +109,7 @@ _LEVEL = object()  # default of ``projected``: the dimension's current level
 class _Reject(Exception):
     """Raised by a scalar decoder; the walk records it at the field's path."""
 
-    def __init__(self, message: str, kind: ErrorKind = ErrorKind.TYPE_MISMATCH):
+    def __init__(self, message: str, kind: ErrorKind = _TYPE_MISMATCH):
         self.message = message
         self.kind = kind
 
@@ -124,6 +125,17 @@ def _str(value: Any) -> str:
             value.encode("utf-8")
         except UnicodeEncodeError:
             raise _Reject("must not contain a lone surrogate") from None
+    return value
+
+
+_CONTROLS = frozenset(map(chr, [*range(32), 127]))  # C0 and DEL
+
+
+def _name(value: Any) -> str:
+    """A name the reports print: a string with no control character."""
+    value = _str(value)
+    if not value.isprintable() and not _CONTROLS.isdisjoint(value):  # one C call for most names
+        raise _Reject("must not contain control characters")
     return value
 
 
@@ -168,7 +180,7 @@ def _version(value: Any) -> int:
         )
     else:
         message = f"unsupported schema_version {version} (expected {SCHEMA_VERSION})"
-    raise _Reject(message, ErrorKind.INVARIANT_VIOLATION)
+    raise _Reject(message, _INVARIANT)
 
 
 SCHEMA: dict[type, tuple[tuple, ...]] = {
@@ -192,7 +204,7 @@ SCHEMA: dict[type, tuple[tuple, ...]] = {
     ),
     Position: (("gap", _float), ("energy", _float)),
     TargetAssessment: (
-        ("name", _str),
+        ("name", _name),
         ("max_damage", MaxDamage),
         ("coupling", _int),
         ("interaction_complexity", _int),
@@ -209,7 +221,7 @@ SCHEMA: dict[type, tuple[tuple, ...]] = {
     ),
     AssessmentProfile: (
         (("schema_version", None), _version),
-        ("name", _str),
+        ("name", _name),
         ("ai_component", _str),
         ("intervention", InterventionIndicators),
         ("targets", [TargetAssessment]),
@@ -367,21 +379,21 @@ class _Decoder:
         """The ``cls`` that ``obj`` describes, or None after recording why not."""
         if not isinstance(obj, dict):
             message = "must be an object" if path else "document must be a JSON object"
-            self.error(ErrorKind.TYPE_MISMATCH, path or "$", message)
+            self.error(_TYPE_MISMATCH, path or "$", message)
             return None
         allowed, steps, _, make, _ = _PLANS[cls]
         if not obj.keys() <= allowed:
             unknown = self.errors if self.strict else self.warnings
             for key in obj:
                 if key not in allowed:
-                    unknown.append(DocumentError(ErrorKind.UNKNOWN_FIELD, _join(path, key), "unknown field"))
+                    unknown.append(DocumentError(_UNKNOWN_FIELD, _join(path, key), "unknown field"))
         errors_before = len(self.errors)
         values = {}
         for key, shape, kind, default in steps:
             value = obj.get(key, _MISSING)
             if value is _MISSING:
                 if default is _MISSING:
-                    self.error(ErrorKind.MISSING_FIELD, _join(path, key), "required field is missing")
+                    self.error(_MISSING_FIELD, _join(path, key), "required field is missing")
                 elif default is not _LEVEL:  # SafetyDimension copies the level itself
                     values[key] = default
             elif shape == _SCALAR:
@@ -392,7 +404,7 @@ class _Decoder:
             elif shape == _OBJECT:
                 values[key] = self.decode(kind, value, _join(path, key))
             elif type(value) is not list:
-                self.error(ErrorKind.TYPE_MISMATCH, _join(path, key), "must be an array")
+                self.error(_TYPE_MISMATCH, _join(path, key), "must be an array")
             elif shape == _ARRAY:
                 prefix = _join(path, key)
                 values[key] = tuple([self.decode(kind, el, f"{prefix}[{i}]") for i, el in enumerate(value)])
@@ -409,7 +421,7 @@ class _Decoder:
         try:
             return make(**values)
         except ValueError as e:  # a type's own check, such as DamageThresholds' order
-            self.error(ErrorKind.INVARIANT_VIOLATION, path or "$", str(e))
+            self.error(_INVARIANT, path or "$", str(e))
             return None
 
 
@@ -418,18 +430,18 @@ def _load_json(data: bytes | str, dec: _Decoder) -> Any:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as e:
-            dec.error(ErrorKind.SYNTAX, "", f"not valid UTF-8 ({e.reason} at byte {e.start})")
+            dec.error(_SYNTAX, "", f"not valid UTF-8 ({e.reason} at byte {e.start})")
             return None
     else:
         text = data
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        dec.errors.append(DocumentError(ErrorKind.SYNTAX, "", e.msg, e.lineno))
+        dec.errors.append(DocumentError(_SYNTAX, "", e.msg, e.lineno))
     except ValueError:  # an integer literal longer than int_max_str_digits
-        dec.error(ErrorKind.SYNTAX, "", "a number has too many digits")
+        dec.error(_SYNTAX, "", "a number has too many digits")
     except RecursionError:
-        dec.error(ErrorKind.SYNTAX, "", "document nesting is too deep")
+        dec.error(_SYNTAX, "", "document nesting is too deep")
     return None
 
 

@@ -215,8 +215,11 @@ class InvalidProfileError(ValueError):
         super().__init__(f"invalid assessment profile: {detail}")
 
 
+_INVARIANT = ErrorKind.INVARIANT_VIOLATION
+
+
 def _violation(path: str, message: str) -> DocumentError:
-    return DocumentError(ErrorKind.INVARIANT_VIOLATION, path, message)
+    return DocumentError(_INVARIANT, path, message)
 
 
 # Each check compares inline, and builds its path and message only on failure.

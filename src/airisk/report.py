@@ -1,31 +1,39 @@
-"""Building reports from one decision pass, and rendering them.
+"""Building reports from one decision pass, and laying out every output:
+the report, and the rule and decision-table catalogs, each in the three
+formats that one dispatch, ``_render``, picks between.
 
-The text and markdown formats present the same content in the same order:
+The text and markdown reports present the same content in the same order:
 profile header, intervention table, target table, safety levels, the seven
 findings, and a calibration footer listing every invented cutoff in effect.
-The machine format is the report's canonical JSON document; ``documents``
+The machine report is the report's canonical JSON document; ``documents``
 writes it and parses it back to an equal RiskReport.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from enum import Enum
+from functools import partial
+from typing import Any
 
-from .documents import canonical_json_bytes, parse_machine_report  # the reader is exported here too
+from .documents import SCHEMA_VERSION, canonical_json_bytes
+from .documents import parse_machine_report  # the reader is exported here too
 from .model import (
     ATTENTION_RANK,
     AssessmentProfile,
     AttentionInterval,
+    EnergyLevel,
     HumanAttention,
     InterventionIndicators,
+    KnowledgeGap,
     MaxDamage,
     Reputational,
     SafetyProfile,
 )
-from .rules import MEASURE_LABELS, Finding, Measure, evaluate_rules
+from .rules import MEASURE_LABELS, RULES, Finding, Measure, RuleDefinition, evaluate_rules
 from .rules import Calibration, RiskReport, TargetResult  # defined with the rules; exported here too
-from .tables import DEFAULT_DAMAGE_THRESHOLDS, DamageThresholds, quadrant
+from .tables import DEFAULT_DAMAGE_THRESHOLDS, CouplingCategory, DamageThresholds, InteractionCategory, quadrant
+from .tables import accident_risk, damage_and_party  # the catalogs' lookups
 from .tables import target_accident_risk, target_damage_party  # unused; perfbench/tracing.py patches both
 
 
@@ -35,7 +43,6 @@ class ReportFormat(str, Enum):
     MACHINE = "machine"
 
 
-_MARKDOWN, _MACHINE = ReportFormat.MARKDOWN, ReportFormat.MACHINE
 _NO_REPUTATION, _DAYS_RANK = Reputational.NONE, ATTENTION_RANK[AttentionInterval.DAYS]
 
 
@@ -114,18 +121,12 @@ def build_report(
     )
 
 
-def _two_column(rows: list[tuple[str, str]]) -> list[str]:
-    width = max(len(label) for label, _ in rows)
-    return [f"{label:<{width}} | {value}" for label, value in rows]
-
-
-def _aligned_table(header: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [len(h) for h in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    def line(cells: list[str]) -> str:
-        return " | ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip()
-    return [line(header)] + [line(row) for row in rows]
+def _aligned_table(rows: Sequence[Sequence[str]]) -> list[str]:
+    """Text lines of equal-length rows, cells joined by " | ", each column
+    but the last padded to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    widths[-1] = 0  # so no line ends in padding
+    return [" | ".join(map(str.ljust, row, widths)) for row in rows]
 
 
 def _intervention_rows(ind: InterventionIndicators) -> list[tuple[str, str]]:
@@ -139,10 +140,10 @@ def _intervention_rows(ind: InterventionIndicators) -> list[tuple[str, str]]:
 
 def render_intervention_table(ind: InterventionIndicators) -> str:
     """The four timely-intervention indicators as an aligned two-column table."""
-    return "\n".join(_two_column(_intervention_rows(ind)))
+    return "\n".join(_aligned_table(_intervention_rows(ind)))
 
 
-def _target_rows(results: tuple[TargetResult, ...]) -> tuple[list[str], list[list[str]]]:
+def _target_rows(results: tuple[TargetResult, ...]) -> list[list[str]]:
     header = ["Targets", "Max Damage", "System Accident Risk", "Potential Damage to Other Parties"]
     rows = [
         [r.name, r.max_damage_text, r.accident_risk.letter, r.damage_party.code]
@@ -152,13 +153,12 @@ def _target_rows(results: tuple[TargetResult, ...]) -> tuple[list[str], list[lis
         header.append("Quadrant")
         for row, r in zip(rows, results):
             row.append("-" if r.quadrant is None else str(r.quadrant))
-    return header, rows
+    return [header, *rows]
 
 
 def render_target_table(results: tuple[TargetResult, ...]) -> str:
     """Per-target risk results as an aligned table, one row per target."""
-    header, rows = _target_rows(results)
-    return "\n".join(_aligned_table(header, rows))
+    return "\n".join(_aligned_table(_target_rows(results)))
 
 
 def _safety_rows(safety: SafetyProfile) -> list[tuple[str, str]]:
@@ -207,7 +207,7 @@ def _measures_text(measures: tuple[Measure, ...]) -> str:
     return "; ".join(MEASURE_LABELS[m] for m in measures)
 
 
-def _render_text(report: RiskReport, color: bool) -> str:
+def _render_text(report: RiskReport, color: bool = False) -> str:
     def paint(s: str, code: str) -> str:
         return f"\x1b[{code}m{s}\x1b[0m" if color else s
 
@@ -217,12 +217,12 @@ def _render_text(report: RiskReport, color: bool) -> str:
     title = f"Risk Assessment: {report.profile_name}"
     lines = [paint(title, "1"), "=" * len(title)]
     lines += section("Intervention Indicators")
-    lines += _two_column(_intervention_rows(report.intervention))
+    lines += _aligned_table(_intervention_rows(report.intervention))
     lines.append(f"Can take offline: {'yes' if report.intervention.can_take_offline else 'no'}")
     lines += section("Targets")
-    lines += _aligned_table(*_target_rows(report.target_results))
+    lines += _aligned_table(_target_rows(report.target_results))
     lines += section("Safety Levels")
-    lines += _two_column(_safety_rows(report.safety))
+    lines += _aligned_table(_safety_rows(report.safety))
     lines += section("Findings")
     for finding in report.rule_findings.findings:
         status = _finding_status(finding)
@@ -233,7 +233,7 @@ def _render_text(report: RiskReport, color: bool) -> str:
             lines.append(f"    targets: {', '.join(finding.targets_involved)}")
         lines.append(f"    because: {finding.rationale}")
     lines += section("Calibration")
-    lines += _two_column(_calibration_rows(report.calibration))
+    lines += _aligned_table(_calibration_rows(report.calibration))
     return "\n".join(lines) + "\n"
 
 
@@ -241,13 +241,10 @@ def _md_escape(s: str) -> str:
     return s.replace("|", "\\|")
 
 
-def _md_table(header: list[str], rows: Sequence[Sequence[str]]) -> list[str]:
-    out = [
-        "| " + " | ".join(_md_escape(h) for h in header) + " |",
-        "|" + "|".join(" --- " for _ in header) + "|",
-    ]
-    for row in rows:
-        out.append("| " + " | ".join(_md_escape(c) for c in row) + " |")
+def _md_table(rows: Sequence[Sequence[str]]) -> list[str]:
+    """A markdown table of equal-length rows, the header first."""
+    out = ["| " + " | ".join(_md_escape(c) for c in row) + " |" for row in rows]
+    out.insert(1, "|" + "|".join(" --- " for _ in rows[0]) + "|")
     return out
 
 
@@ -255,13 +252,12 @@ def _render_markdown(report: RiskReport) -> str:
     lines = [f"# Risk Assessment: {report.profile_name}"]
     ind = report.intervention
     lines += ["", "## Intervention Indicators", ""]
-    lines += _md_table(["Indicator", "Value"], _intervention_rows(ind))
+    lines += _md_table([("Indicator", "Value"), *_intervention_rows(ind)])
     lines += ["", f"Can take offline: {'yes' if ind.can_take_offline else 'no'}"]
-    header, rows = _target_rows(report.target_results)
     lines += ["", "## Targets", ""]
-    lines += _md_table(header, rows)
+    lines += _md_table(_target_rows(report.target_results))
     lines += ["", "## Safety Levels", ""]
-    lines += _md_table(["Dimension", "Level"], _safety_rows(report.safety))
+    lines += _md_table([("Dimension", "Level"), *_safety_rows(report.safety)])
     lines += ["", "## Findings", ""]
     for finding in report.rule_findings.findings:
         status = "triggered" if finding.triggered else "not triggered"
@@ -278,11 +274,112 @@ def _render_markdown(report: RiskReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rules_text(rules: tuple[RuleDefinition, ...]) -> str:
+    blocks = [
+        f"{rule.id.value}  {rule.text}\n    when: {rule.condition}\n    measures: {_measures_text(rule.measures)}"
+        for rule in rules
+    ]
+    return "\n\n".join(blocks) + "\n"
+
+
+def _rules_markdown(rules: tuple[RuleDefinition, ...]) -> str:
+    lines = ["# Recommendation Rules"]
+    for rule in rules:
+        lines += ["", f"## {rule.id.value}", "", rule.text, ""]
+        lines += [f"- When: {rule.condition}", f"- Measures: {_measures_text(rule.measures)}"]
+    return "\n".join(lines) + "\n"
+
+
+def _rules_machine(rules: tuple[RuleDefinition, ...]) -> bytes:
+    return canonical_json_bytes({"schema_version": SCHEMA_VERSION, "rules": rules})
+
+
+def _coupling_rows() -> list[list[str]]:
+    rows = [["Coupling"] + [c.value for c in InteractionCategory]]
+    for coupling in reversed(CouplingCategory):
+        cells = [accident_risk(coupling, interaction).letter for interaction in InteractionCategory]
+        rows.append([coupling.value] + cells)
+    return rows
+
+
+def _energy_rows() -> list[list[str]]:
+    rows = [["Energy"] + [g.value.capitalize() for g in KnowledgeGap]]
+    for energy in reversed(EnergyLevel):
+        cells = [damage_and_party(energy, gap).code for gap in KnowledgeGap]
+        rows.append([energy.value.capitalize()] + cells)
+    return rows
+
+
+def _damage_band_rows(t: DamageThresholds) -> list[tuple[str, str]]:
+    return [
+        ("negligible", "below every band"),
+        ("minor", f"at least {format_usd(t.minor)}, or minor reputational damage"),
+        ("major", f"at least {format_usd(t.major)}"),
+        ("severe", f"at least {format_usd(t.severe)}, or major reputational damage"),
+        ("catastrophic", f"at least {format_usd(t.catastrophic)}, or any lives at risk"),
+    ]
+
+
+def _tables_text(t: DamageThresholds) -> str:
+    # Cells join with " | " and no padding so rows stay stable grep targets.
+    lines = ["System Accident Risk (coupling x interaction complexity)", ""]
+    lines += [" | ".join(row) for row in _coupling_rows()]
+    lines += ["", "Damage and Affected Parties (energy level x knowledge gap)", ""]
+    lines += [" | ".join(row) for row in _energy_rows()]
+    lines += ["", "Damage Classes (max-damage calibration)", ""]
+    lines += [" | ".join(row) for row in _damage_band_rows(t)]
+    return "\n".join(lines) + "\n"
+
+
+def _tables_markdown(t: DamageThresholds) -> str:
+    lines = ["# Decision Tables", "", "## System Accident Risk", ""]
+    lines += _md_table(_coupling_rows())
+    lines += ["", "## Damage and Affected Parties", ""]
+    lines += _md_table(_energy_rows())
+    lines += ["", "## Damage Classes", ""]
+    lines += [f"- {name}: {band}" for name, band in _damage_band_rows(t)]
+    return "\n".join(lines) + "\n"
+
+
+def _tables_machine(t: DamageThresholds) -> bytes:
+    accident = {
+        c.value: {x.value: accident_risk(c, x).value for x in InteractionCategory} for c in reversed(CouplingCategory)
+    }
+    damage = {e.value: {g.value: damage_and_party(e, g) for g in KnowledgeGap} for e in reversed(EnergyLevel)}
+    doc = {"schema_version": SCHEMA_VERSION, "accident_risk": accident, "damage_party": damage, "damage_thresholds": t}
+    return canonical_json_bytes(doc)
+
+
+# A format, as a member or as its text, to its place in ReportFormat: the
+# table is built once, so a render calls no enum code to look it up.
+_FORMAT_INDEX = {key: i for i, f in enumerate(ReportFormat) for key in (f, f._value_)}
+_MACHINE_INDEX = _FORMAT_INDEX[ReportFormat.MACHINE]
+
+
+def _render(format: ReportFormat | str, subject: Any, *layouts: Callable[[Any], Any]) -> bytes:
+    """The one format dispatch: ``subject`` as UTF-8 bytes, laid out by the
+    text, markdown or machine layout, given in ReportFormat's order; the
+    first two return text, the machine layout bytes."""
+    try:
+        i = _FORMAT_INDEX[format]
+    except (KeyError, TypeError):  # anything else ReportFormat takes, or its ValueError
+        i = _FORMAT_INDEX[ReportFormat(format)]
+    out = layouts[i](subject)
+    return out if i == _MACHINE_INDEX else out.encode("utf-8")
+
+
 def render_report(report: RiskReport, format: ReportFormat | str, *, color: bool = False) -> bytes:
-    """Render a report in the requested format as UTF-8 bytes."""
-    fmt = ReportFormat(format)
-    if fmt is _MACHINE:
-        return canonical_json_bytes(report)
-    if fmt is _MARKDOWN:
-        return _render_markdown(report).encode("utf-8")
-    return _render_text(report, color).encode("utf-8")
+    """Render a report in the requested format as UTF-8 bytes; color styles the text format."""
+    text = partial(_render_text, color=True) if color else _render_text
+    return _render(format, report, text, _render_markdown, canonical_json_bytes)
+
+
+def render_rules(format: ReportFormat | str) -> bytes:
+    """The catalog of the seven rules in the requested format, as UTF-8 bytes."""
+    return _render(format, RULES, _rules_text, _rules_markdown, _rules_machine)
+
+
+def render_tables(thresholds: DamageThresholds, format: ReportFormat | str) -> bytes:
+    """The two decision tables and the damage-class bands for the thresholds
+    in the requested format, as UTF-8 bytes."""
+    return _render(format, thresholds, _tables_text, _tables_markdown, _tables_machine)

@@ -1,8 +1,10 @@
-"""Seeded random generators for property tests.
+"""Seeded random generators for property tests, and hand-made profiles.
 
-Everything here is driven by a caller-supplied random.Random so failures
-reproduce from the seed printed in the assertion message.  Generated
-profiles always satisfy validate_profile; the mutators preserve validity.
+Everything random here is driven by a caller-supplied random.Random so
+failures reproduce from the seed printed in the assertion message.
+Generated profiles always satisfy validate_profile; the mutators preserve
+validity.  ``profile`` and ``target`` build one profile from keyword
+overrides of a quiet default, for boundary tests.
 """
 
 from __future__ import annotations
@@ -167,3 +169,55 @@ def raise_observability(profile: AssessmentProfile) -> AssessmentProfile:
 def append_target(rng: random.Random, profile: AssessmentProfile) -> AssessmentProfile:
     extra = random_target(rng, f"extra-{len(profile.targets)}")
     return dataclasses.replace(profile, targets=profile.targets + (extra,))
+
+
+HOURLY = HumanAttention(mode=AttentionMode.PERIODIC, checks_per_day=24)
+
+
+def gap_of(interval: AttentionInterval) -> HumanAttention:
+    return HumanAttention(mode=AttentionMode.INTERMITTENT, interval=interval)
+
+
+def target(
+    name="T",
+    monetary=50_000.0,
+    lives=None,
+    coupling=1,
+    complexity=1,
+    energy=EnergyLevel.LOW,
+    gap=KnowledgeGap.LOW,
+):
+    return TargetAssessment(
+        name=name,
+        max_damage=MaxDamage(monetary_usd=monetary, lives_at_risk=lives),
+        coupling=coupling,
+        interaction_complexity=complexity,
+        energy_level=energy,
+        knowledge_gap=gap,
+    )
+
+
+def profile(
+    delay=TimeDelay.MONTHS,
+    observability=5,
+    attention=HOURLY,
+    correctability=5,
+    offline=True,
+    targets=(target(),),
+    levels=(0, 0, 0, 0),
+    projected=(None, None, None, None),
+):
+    dims = [SafetyDimension(level=l, projected=p) for l, p in zip(levels, projected)]
+    return AssessmentProfile(
+        name="probe",
+        ai_component="unit",
+        intervention=InterventionIndicators(
+            time_delay=delay,
+            observability=observability,
+            attention=attention,
+            correctability=correctability,
+            can_take_offline=offline,
+        ),
+        targets=tuple(targets),
+        safety=SafetyProfile(*dims),
+    )

@@ -16,11 +16,14 @@ from airisk import (
     EnergyLevel,
     InteractionCategory,
     KnowledgeGap,
+    ReportFormat,
     RuleId,
     accident_risk,
+    build_report,
     damage_and_party,
     evaluate_rules,
     parse_assessment,
+    render_report,
     serialize_assessment,
 )
 from airisk.tables import RISK_RANK
@@ -130,6 +133,38 @@ def edit_document(rng: random.Random, doc: dict) -> None:
         )
 
 
+# One-field variants of a profile, each still a valid profile.
+_VARIANTS = (lambda rng, profile: raise_observability(profile), raise_one_safety_level, append_target)
+
+
+def mutated_report(rng: random.Random, profiles: list, reports: list[bytes]) -> bytes:
+    """Machine-report bytes: the report of a one-field variant of one of the
+    profiles, as written or after one edit; or one of the reports truncated,
+    with bytes flipped, or after one to three edits."""
+    if rng.random() < 0.2:
+        # The report of a one-field variant, as written or after one edit.
+        variant = rng.choice(_VARIANTS)(rng, rng.choice(profiles))
+        data = render_report(build_report(variant), "machine")
+        if rng.random() < 0.5:
+            return data
+        doc = json.loads(data)
+        edit_document(rng, doc)
+        return json.dumps(doc, indent=2).encode("utf-8")
+    data = rng.choice(reports)
+    roll = rng.random()
+    if roll < 0.25:
+        return data[: rng.randrange(len(data))]
+    if roll < 0.5:
+        flipped = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            flipped[rng.randrange(len(flipped))] = rng.randrange(256)
+        return bytes(flipped)
+    doc = json.loads(data)
+    for _ in range(rng.randint(1, 3)):
+        edit_document(rng, doc)
+    return json.dumps(doc, indent=rng.choice((None, 2))).encode("utf-8")
+
+
 def fuzz_document(rng: random.Random, profiles: list) -> bytes:
     """Assessment bytes from one of the profiles: the valid document, the
     document after one structural edit or with one integer moved, often out
@@ -192,3 +227,39 @@ def check_parser_totality(seed: int, count: int) -> None:
                 flipped[rng.randrange(len(flipped))] = rng.randrange(256)
             data = bytes(flipped)
         attempt(data, f"fuzz case {i}")
+
+
+# Edge values for one leaf of a document: a huge integer, signed zero, the
+# largest and the smallest positive float, a lone surrogate, a control
+# sequence, and values of the wrong type for most fields.
+EDGE_LEAVES = (10**400, -0.0, 1e308, 5e-324, "\ud800", "\x1b[2J", None, True, "", [], {}, 1.5, "low")
+
+
+def check_leaf_substitution(seed: int, count: int) -> tuple[int, int]:
+    """Documents with one or two leaves set to an edge value parse to a
+    profile that renders in every format, or raise the parser's own error.
+    Returns how many were (accepted, rejected)."""
+    rng = random.Random(seed)
+    docs = [json.loads(serialize_assessment(random_profile(rng))) for _ in range(20)]
+    outcomes = [0, 0]
+    for i in range(count):
+        doc = json.loads(json.dumps(rng.choice(docs)))
+        for _ in range(rng.randint(1, 2)):
+            leaves = [path for path, node in walk_document(doc) if path and not isinstance(node, (dict, list))]
+            *parents, last = rng.choice(leaves)
+            node = doc
+            for part in parents:
+                node = node[part]
+            node[last] = rng.choice(EDGE_LEAVES)
+        try:
+            profile = parse_assessment(json.dumps(doc))
+        except AssessmentDocumentError:
+            outcomes[1] += 1
+            continue
+        except Exception as e:  # noqa: BLE001 - the point is that nothing else escapes
+            raise AssertionError(f"parser crashed on leaf case {i} (seed {seed}): {e!r}") from e
+        report = build_report(profile)
+        for fmt in ReportFormat:
+            render_report(report, fmt)
+        outcomes[0] += 1
+    return outcomes[0], outcomes[1]

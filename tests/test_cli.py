@@ -37,9 +37,13 @@ def test_assess_markdown_and_machine_match_goldens():
         (("rules", "--format", "machine"), "rules.json"),
         (("tables", "--format", "machine"), "tables.json"),
         (("tables", "--format", "machine", "--damage-thresholds", "1,2,3,4"), "tables-1-2-3-4.json"),
+        (("rules",), "rules.txt"),
+        (("rules", "--format", "markdown"), "rules.md"),
+        (("tables",), "tables.txt"),
+        (("tables", "--format", "markdown"), "tables.md"),
     ],
 )
-def test_catalog_machine_output_matches_goldens(args, golden):
+def test_catalog_output_matches_goldens(args, golden):
     result = run_cli(*args)
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / golden).read_bytes()

@@ -290,6 +290,28 @@ def test_lone_surrogates_are_rejected_where_they_would_be_written(roomba_doc, pa
     assert "ok \U0001f600" in written.decode("utf-8")
 
 
+@pytest.mark.parametrize("path", ["name", "targets[1].name"])
+@pytest.mark.parametrize("control", ["\n", "\r", "\t", "\x00", "\x1b[2J", "\x7f"])
+def test_the_names_the_reports_print_refuse_control_characters(roomba_doc, path, control):
+    node, key = locate(roomba_doc, path)
+    node[key] = f"Robot{control}| x |"
+    for validate in (True, False):
+        errors = [(e.kind, e.path, e.message) for e in parse_errors(dump(roomba_doc), validate=validate)]
+        assert errors == [(ErrorKind.TYPE_MISMATCH, path, "must not contain control characters")]
+
+
+def test_other_text_and_other_unprintable_characters_are_kept(roomba_doc):
+    """Only the two printed names refuse C0 controls and DEL; the component
+    and the notes keep them, and a name keeps what is unprintable but no
+    C0 control, such as a line separator or a C1 control."""
+    roomba_doc["ai_component"] = "planner\n\x1b[2J"
+    roomba_doc["targets"][0]["max_damage"]["notes"] = "line one\nline two"
+    roomba_doc["targets"][1]["name"] = "Floor\u2028\x85\u00a0"
+    profile = parse_assessment(dump(roomba_doc))
+    assert profile.ai_component == "planner\n\x1b[2J"
+    assert profile.targets[1].name == "Floor\u2028\x85\u00a0"
+
+
 def test_deeply_nested_input_does_not_crash():
     errors = parse_errors(b"[" * 200_000)
     assert errors[0].kind is ErrorKind.SYNTAX

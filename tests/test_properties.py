@@ -6,6 +6,7 @@ from airisk.cli import main
 
 from genprofiles import choice, randint, random_profile
 from propchecks import (
+    check_leaf_substitution,
     check_parser_totality,
     check_round_trip,
     check_rule_monotonicity,
@@ -28,6 +29,15 @@ def test_round_trip_sample():
 
 def test_parser_totality_sample():
     check_parser_totality(seed=303, count=3000)
+
+
+def test_edge_values_at_the_leaves_give_a_profile_or_a_document_error():
+    """Each leaf set to a huge integer, a signed zero, an extreme float, a
+    lone surrogate, a control sequence or a wrong type: the parser accepts
+    or refuses, and every accepted document renders in all three formats."""
+    accepted, rejected = check_leaf_substitution(seed=505, count=4000)
+    # Both outcomes occur, so edge values reach the renderers.
+    assert accepted > 100 and rejected > 3000, (accepted, rejected)
 
 
 def test_validate_and_assess_keep_the_exit_code_contract_on_any_input(tmp_path, capsysbinary):

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import hashlib
 import json
 import random
 import re
@@ -10,7 +9,6 @@ import re
 import pytest
 
 from airisk import (
-    AssessmentDocumentError,
     AttentionInterval,
     AttentionMode,
     DamageThresholds,
@@ -22,20 +20,19 @@ from airisk import (
     RiskReport,
     RuleId,
     build_report,
-    parse_assessment,
     parse_machine_report,
     render_intervention_table,
     render_report,
     render_target_table,
-    serialize_assessment,
 )
 from airisk.report import format_attention, format_max_damage, format_usd
 from airisk.rules import DEFAULT_CALIBRATION, calibration_for
 from airisk.tables import DEFAULT_DAMAGE_THRESHOLDS
 
+import digests
 from conftest import GOLDEN
-from genprofiles import append_target, raise_observability, raise_one_safety_level, random_profile
-from propchecks import edit_document, walk_document
+from genprofiles import random_profile
+from propchecks import mutated_report, walk_document
 
 
 @pytest.mark.parametrize(
@@ -402,35 +399,6 @@ def test_non_json_and_deep_nesting_raise_value_error(data):
         parse_machine_report(data)
 
 
-# One-field variants of a profile, each still a valid profile.
-_VARIANTS = (lambda rng, profile: raise_observability(profile), raise_one_safety_level, append_target)
-
-
-def _mutated_report(rng: random.Random, profiles: list, reports: list[bytes]) -> bytes:
-    if rng.random() < 0.2:
-        # The report of a one-field variant, as written or after one edit.
-        variant = rng.choice(_VARIANTS)(rng, rng.choice(profiles))
-        data = render_report(build_report(variant), "machine")
-        if rng.random() < 0.5:
-            return data
-        doc = json.loads(data)
-        edit_document(rng, doc)
-        return json.dumps(doc, indent=2).encode("utf-8")
-    data = rng.choice(reports)
-    roll = rng.random()
-    if roll < 0.25:
-        return data[: rng.randrange(len(data))]
-    if roll < 0.5:
-        flipped = bytearray(data)
-        for _ in range(rng.randint(1, 4)):
-            flipped[rng.randrange(len(flipped))] = rng.randrange(256)
-        return bytes(flipped)
-    doc = json.loads(data)
-    for _ in range(rng.randint(1, 3)):
-        edit_document(rng, doc)
-    return json.dumps(doc, indent=rng.choice((None, 2))).encode("utf-8")
-
-
 def test_machine_parser_gives_a_report_or_value_error_on_mutated_reports():
     rng = random.Random(606)
     profiles = [random_profile(rng) for _ in range(25)]
@@ -440,7 +408,7 @@ def test_machine_parser_gives_a_report_or_value_error_on_mutated_reports():
     # makes a report that contradicts itself, which the parser rejects; the
     # variants' reports keep more than 50 of the 4000 cases parsing.
     for i in range(4000):
-        data = _mutated_report(rng, profiles, reports)
+        data = mutated_report(rng, profiles, reports)
         try:
             parsed = parse_machine_report(data)
         except ValueError:
@@ -455,32 +423,7 @@ def test_machine_parser_gives_a_report_or_value_error_on_mutated_reports():
 
 
 def test_readers_and_writers_match_their_pinned_digest():
-    """The profile and machine-report bytes of seeded profiles (every fourth
-    with custom thresholds), the machine reader's outcome on mutated
-    reports, and the strict profile reader's diagnostics on edited profile
-    documents, hashed against a fixed digest."""
-    rng = random.Random(1717)
-    profiles = [random_profile(rng) for _ in range(300)]
-    reports = []
-    for i, profile in enumerate(profiles):
-        thresholds = DamageThresholds(1, 2.5, 3, 4) if i % 4 == 0 else DEFAULT_DAMAGE_THRESHOLDS
-        reports.append(render_report(build_report(profile, thresholds), "machine"))
-    lines = [serialize_assessment(p).decode() for p in profiles] + [r.decode() for r in reports]
-    for _ in range(2000):
-        try:
-            parse_machine_report(_mutated_report(rng, profiles[:25], reports[:25]))
-            lines.append("ok")
-        except ValueError as e:
-            lines.append(str(e))
-    for _ in range(1000):
-        doc = json.loads(serialize_assessment(rng.choice(profiles)))
-        edit_document(rng, doc)
-        try:
-            parse_assessment(json.dumps(doc), strict=True)
-            lines.append("ok")
-        except AssessmentDocumentError as e:
-            lines.append(repr([(d.kind.value, d.path, d.message, d.line) for d in e.errors]))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    digest = digests.readers_and_writers_digest()
     assert digest == "131f3b3fd73c83fd1a0939d241884c33456fa9d1f2ab1645a4dd8ab3689b00c9"
 
 

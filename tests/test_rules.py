@@ -1,7 +1,6 @@
 """Boundary behavior of the seven recommendation rules."""
 
 import dataclasses
-import hashlib
 import random
 
 import pytest
@@ -13,73 +12,17 @@ from airisk import (
     DamageThresholds,
     EnergyLevel,
     HumanAttention,
-    InterventionIndicators,
     InvalidProfileError,
     KnowledgeGap,
-    MaxDamage,
     RuleId,
     RULES,
-    SafetyDimension,
-    SafetyProfile,
-    TargetAssessment,
     TimeDelay,
     evaluate_rules,
 )
 from airisk.rules import Calibration, RiskLevel, RuleReport, _decide, _explain, _Facts
 
-from genprofiles import random_profile
-
-HOURLY = HumanAttention(mode=AttentionMode.PERIODIC, checks_per_day=24)
-
-
-def gap_of(interval: AttentionInterval) -> HumanAttention:
-    return HumanAttention(mode=AttentionMode.INTERMITTENT, interval=interval)
-
-
-def target(
-    name="T",
-    monetary=50_000.0,
-    lives=None,
-    coupling=1,
-    complexity=1,
-    energy=EnergyLevel.LOW,
-    gap=KnowledgeGap.LOW,
-):
-    return TargetAssessment(
-        name=name,
-        max_damage=MaxDamage(monetary_usd=monetary, lives_at_risk=lives),
-        coupling=coupling,
-        interaction_complexity=complexity,
-        energy_level=energy,
-        knowledge_gap=gap,
-    )
-
-
-def profile(
-    delay=TimeDelay.MONTHS,
-    observability=5,
-    attention=HOURLY,
-    correctability=5,
-    offline=True,
-    targets=(target(),),
-    levels=(0, 0, 0, 0),
-    projected=(None, None, None, None),
-):
-    dims = [SafetyDimension(level=l, projected=p) for l, p in zip(levels, projected)]
-    return AssessmentProfile(
-        name="probe",
-        ai_component="unit",
-        intervention=InterventionIndicators(
-            time_delay=delay,
-            observability=observability,
-            attention=attention,
-            correctability=correctability,
-            can_take_offline=offline,
-        ),
-        targets=tuple(targets),
-        safety=SafetyProfile(*dims),
-    )
-
+import digests
+from genprofiles import gap_of, profile, random_profile, target
 
 def triggered(p: AssessmentProfile, thresholds=None) -> set[RuleId]:
     report = evaluate_rules(p, thresholds) if thresholds else evaluate_rules(p)
@@ -321,28 +264,5 @@ def test_a_report_equals_only_reports_and_shows_its_findings(roomba):
 
 
 def test_findings_match_their_pinned_digest():
-    """Every finding, rationale included, over seeded generated profiles
-    (every fourth with custom thresholds) and hand-made safety levels where
-    R6 and R7 tie at a later dimension or a projection decides R7's
-    "highest is", hashed against a fixed digest."""
-    rng = random.Random(1313)
-    cases = []
-    for i in range(1000):
-        thresholds = DamageThresholds(1, 2.5, 3, 4) if i % 4 == 0 else None
-        cases.append((random_profile(rng), thresholds))
-    for levels, projected in (
-        ((0, 1, 1, 0), (None, None, None, None)),
-        ((0, 0, 1, 1), (None, None, None, None)),
-        ((1, 0, 2, 2), (None, 2, None, None)),
-        ((1, 1, 0, 0), (None, None, 2, None)),
-        ((0, 1, 0, 1), (2, None, 2, None)),
-        ((2, 1, 2, 2), (None, 2, None, None)),
-    ):
-        cases.append((profile(levels=levels, projected=projected), None))
-    lines = []
-    for p, thresholds in cases:
-        report = evaluate_rules(p, thresholds) if thresholds else evaluate_rules(p)
-        for f in report.findings:
-            lines.append(repr((f.rule.value, f.triggered, [m.value for m in f.measures], f.targets_involved, f.rationale)))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    digest = digests.findings_digest()
     assert digest == "dc7996ddfdf6a96eddb2f4ab6d6a38dfb2770be2c916da17402e08d6a0f6781d"
