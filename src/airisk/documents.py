@@ -426,9 +426,9 @@ class _Decoder:
 
 
 def _load_json(data: bytes | str, dec: _Decoder) -> Any:
-    if isinstance(data, bytes):
+    if not isinstance(data, str):  # bytes, or any other bytes-like object
         try:
-            text = data.decode("utf-8")
+            text = str(data, "utf-8")
         except UnicodeDecodeError as e:
             dec.error(_SYNTAX, "", f"not valid UTF-8 ({e.reason} at byte {e.start})")
             return None
@@ -502,7 +502,7 @@ def parse_machine_report(data: bytes | str) -> RiskReport:
     if not errors:  # decoded and in range, so the rules can read it
         results, cal = report.target_results, calibration_for(report.calibration.damage_thresholds)
         cells = [r.damage_class for r in results], [r.accident_risk for r in results], [r.damage_party for r in results]
-        facts = _Facts(report, results, cal, *cells)  # the report's own cells: no table is looked up
+        facts = _Facts(report, results, *cells)  # the report's own cells: no table is looked up
         _expect(errors, "findings", report.rule_findings.findings, _explain(facts, _decide(facts)))
         _expect(errors, "calibration", report.calibration, cal)
     if errors:

@@ -30,7 +30,7 @@ from .model import (
     Reputational,
     SafetyProfile,
 )
-from .rules import MEASURE_LABELS, RULES, Finding, Measure, RuleDefinition, evaluate_rules
+from .rules import MEASURE_LABELS, RULES, Finding, Measure, RuleDefinition, calibration_for, evaluate_rules
 from .rules import Calibration, RiskReport, TargetResult  # defined with the rules; exported here too
 from .tables import DEFAULT_DAMAGE_THRESHOLDS, CouplingCategory, DamageThresholds, InteractionCategory, quadrant
 from .tables import accident_risk, damage_and_party  # the catalogs' lookups
@@ -95,7 +95,7 @@ def build_report(
         InvalidProfileError: if the profile fails validation.
     """
     findings = evaluate_rules(profile, thresholds)
-    facts = findings._facts  # the decision pass's lookups and calibration
+    facts = findings._facts  # the decision pass's lookups
     results = []
     for target, cls, risk, party in zip(profile.targets, facts.classes, facts.risks, facts.parties):
         q = None
@@ -117,7 +117,7 @@ def build_report(
         target_results=tuple(results),
         safety=profile.safety,
         rule_findings=findings,
-        calibration=facts.cal,
+        calibration=calibration_for(thresholds),
     )
 
 
@@ -350,9 +350,9 @@ def _tables_machine(t: DamageThresholds) -> bytes:
     return canonical_json_bytes(doc)
 
 
-# A format, as a member or as its text, to its place in ReportFormat: the
-# table is built once, so a render calls no enum code to look it up.
-_FORMAT_INDEX = {key: i for i, f in enumerate(ReportFormat) for key in (f, f._value_)}
+# A format, as a member or as its text (a str member hashes and compares as
+# it), to its place in ReportFormat: built once, so a render calls no enum code.
+_FORMAT_INDEX = {f: i for i, f in enumerate(ReportFormat)}
 _MACHINE_INDEX = _FORMAT_INDEX[ReportFormat.MACHINE]
 
 

@@ -12,9 +12,10 @@ written from those outcomes only when a report's findings are first read,
 so callers that need just the triggered rules never pay for the prose.
 
 The cutoffs that sharpen qualitative phrases like "very small" or "poor"
-into decidable predicates live in one frozen ``Calibration``; its defaults
-are ``DEFAULT_CALIBRATION``.  The decision pass and the rationale text both
-read the calibration in effect, and reports print it as evaluated.
+into decidable predicates live in one frozen ``Calibration``.  The rules
+compare against ``DEFAULT_CALIBRATION``, bound once at import; only
+``damage_thresholds`` varies from report to report, and each report
+prints the calibration in effect.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ MEASURE_LABELS: dict[Measure, str] = {
 
 @dataclass(frozen=True)
 class Calibration:
-    """The cutoffs behind the rules' qualitative phrases, as evaluated."""
+    """The cutoffs behind the rules' qualitative phrases, as evaluated: the rules compare
+    against ``DEFAULT_CALIBRATION``, and only ``damage_thresholds`` varies from report to report."""
 
     very_small_time_delays: tuple[TimeDelay, ...] = (TimeDelay.MILLISECONDS, TimeDelay.SECONDS)
     poor_observability_max: int = 2
@@ -221,12 +223,14 @@ def _party_degrees(cutoff: int, form: str = "{}") -> str:
     return _prose_join([form.format(n, ends.get(n, "th")) for n in range(cutoff, 5)], "or")
 
 
-_DC = DEFAULT_CALIBRATION  # the cutoffs the conditions name
+_DC = DEFAULT_CALIBRATION  # the cutoffs every rule compares against
 _NEGLIGIBLE = DamageClass.NEGLIGIBLE  # bound once, as model.py explains
-# Rationale phrases that depend on a cutoff alone, built once per cutoff: R3's
-# levels below each floor, and R4's party degrees, from the 1st under a lower cutoff.
-_RISKS_BELOW = {floor: " or ".join([r._value_.lower() for r in RISK_RANK][:i]) for floor, i in RISK_RANK.items()}
-_PARTY_REACH = {n: (_party_degrees(n, "{}{}"), _party_degrees(n, "{}{}-")) for n in range(1, 6)}
+# From those cutoffs, bound once: the ranks the decision pass compares with,
+# and the rationale's phrases for R3's levels below its floor and R4's party reach.
+_RISK_FLOOR, _DAMAGE_FLOOR = RISK_RANK[_DC.accident_risk_min], RISK_RANK[_DC.significant_damage_min]
+_CLASS_FLOOR, _ATTENTION_FLOOR = DAMAGE_CLASS_RANK[_DC.high_damage_min], ATTENTION_RANK[_DC.poor_attention_min]
+_RISKS_BELOW = " or ".join([risk._value_.lower() for risk in RISK_RANK][:_RISK_FLOOR])
+_PARTY_REACH, _PARTY_REACH_ADJECTIVE = (_party_degrees(_DC.significant_party_min, form) for form in ("{}{}", "{}{}-"))
 
 RULES: tuple[RuleDefinition, ...] = (
     RuleDefinition(
@@ -303,24 +307,20 @@ class _Facts:
     its targets or target results, which give the names; the per-target
     lists follow them."""
 
-    __slots__ = ("intervention", "safety", "targets", "cal", "magnitude", "classes", "risks", "parties", "worst")
+    __slots__ = ("intervention", "safety", "targets", "magnitude", "classes", "risks", "parties", "worst", "r1")
 
-    def __init__(self, source, targets: tuple, cal: Calibration, classes: list, risks: list, parties: list):
-        self.intervention, self.safety, self.targets, self.cal = source.intervention, source.safety, targets, cal
-        self.magnitude = attention_magnitude(source.intervention.attention)
+    def __init__(self, source, targets: tuple, classes: list, risks: list, parties: list):
+        ind = self.intervention = source.intervention
+        self.safety, self.targets = source.safety, targets
+        self.magnitude = attention_magnitude(ind.attention)
         self.classes, self.risks, self.parties = classes, risks, parties
         self.worst = max(classes, key=DAMAGE_CLASS_RANK.__getitem__)
-
-
-def _r1_conditions(facts: _Facts) -> tuple[bool, bool, bool, bool]:
-    """R1's inputs: delay very small, observability poor, attention poor, effects trivial."""
-    ind, cal = facts.intervention, facts.cal
-    return (
-        ind.time_delay in cal.very_small_time_delays,
-        ind.observability <= cal.poor_observability_max,
-        ATTENTION_RANK[facts.magnitude] >= ATTENTION_RANK[cal.poor_attention_min],
-        facts.worst is _NEGLIGIBLE,
-    )
+        self.r1 = (  # R1's inputs: delay very small, observability poor, attention poor, effects trivial
+            ind.time_delay in _DC.very_small_time_delays,
+            ind.observability <= _DC.poor_observability_max,
+            ATTENTION_RANK[self.magnitude] >= _ATTENTION_FLOOR,
+            self.worst is _NEGLIGIBLE,
+        )
 
 
 def _decide(facts: _Facts) -> tuple:
@@ -329,28 +329,24 @@ def _decide(facts: _Facts) -> tuple:
     R1 and R2 give a bool; R3-R5 a list of the qualifying targets' indices;
     R6 and R7 a list of the qualifying (name, dimension) safety pairs.
     """
-    ind, cal = facts.intervention, facts.cal
-    delay_small, obs_poor, att_poor, trivial = _r1_conditions(facts)
-    risk_floor = RISK_RANK[cal.accident_risk_min]
-    damage_floor = RISK_RANK[cal.significant_damage_min]
-    class_floor = DAMAGE_CLASS_RANK[cal.high_damage_min]
-    party_floor = cal.significant_party_min
+    ind, (delay_small, obs_poor, att_poor, trivial) = facts.intervention, facts.r1
+    review_level, critical_level = _DC.safety_review_level, _DC.safety_critical_level
     review, critical = [], []
     for name, dim in facts.safety.dimensions():
-        if dim.level >= cal.safety_review_level:
+        if dim.level >= review_level:
             review.append((name, dim))
-        if dim.level >= cal.safety_critical_level or dim.projected >= cal.safety_critical_level:
+        if dim.level >= critical_level or dim.projected >= critical_level:
             critical.append((name, dim))
     return (
         delay_small and (obs_poor or att_poor) and not trivial,
-        ind.correctability <= cal.low_correctability_max and not ind.can_take_offline,
-        [i for i, risk in enumerate(facts.risks) if RISK_RANK[risk] >= risk_floor],
+        ind.correctability <= _DC.low_correctability_max and not ind.can_take_offline,
+        [i for i, risk in enumerate(facts.risks) if RISK_RANK[risk] >= _RISK_FLOOR],
         [
             i
             for i, dp in enumerate(facts.parties)
-            if dp.party_degree >= party_floor and RISK_RANK[dp.damage] >= damage_floor
+            if dp.party_degree >= _DC.significant_party_min and RISK_RANK[dp.damage] >= _DAMAGE_FLOOR
         ],
-        [i for i, cls in enumerate(facts.classes) if DAMAGE_CLASS_RANK[cls] >= class_floor],
+        [i for i, cls in enumerate(facts.classes) if DAMAGE_CLASS_RANK[cls] >= _CLASS_FLOOR],
         review,
         critical,
     )
@@ -360,12 +356,11 @@ def _decide(facts: _Facts) -> tuple:
 
 
 def _explain_r1(facts: _Facts, fired: bool) -> str:
-    ind, cal = facts.intervention, facts.cal
-    delay_small, obs_poor, att_poor, trivial = _r1_conditions(facts)
+    ind, (delay_small, obs_poor, att_poor, trivial) = facts.intervention, facts.r1
     if fired:
         parts = [f"time delay is {ind.time_delay._value_}"]
         if obs_poor:
-            parts.append(f"observability is {ind.observability} (at most {cal.poor_observability_max})")
+            parts.append(f"observability is {ind.observability} (at most {_DC.poor_observability_max})")
         if att_poor:
             parts.append(f"attention gaps reach {facts.magnitude._value_}")
         worst = facts.worst._value_.lower()
@@ -375,8 +370,8 @@ def _explain_r1(facts: _Facts, fired: bool) -> str:
         parts.append(f"time delay is {ind.time_delay._value_} (not sub-minute)")
     if not (obs_poor or att_poor):
         parts.append(
-            f"observability is {ind.observability} (above {cal.poor_observability_max}) and "
-            f"attention gaps are {facts.magnitude._value_} (under {cal.poor_attention_min._value_})"
+            f"observability is {ind.observability} (above {_DC.poor_observability_max}) and "
+            f"attention gaps are {facts.magnitude._value_} (under {_DC.poor_attention_min._value_})"
         )
     if trivial:
         parts.append("every target's damage class is negligible")
@@ -384,7 +379,7 @@ def _explain_r1(facts: _Facts, fired: bool) -> str:
 
 
 def _explain_r2(facts: _Facts, fired: bool) -> str:
-    ind, low = facts.intervention, facts.cal.low_correctability_max
+    ind, low = facts.intervention, _DC.low_correctability_max
     if fired:
         return _sentence(
             [
@@ -406,20 +401,19 @@ def _target_listing(facts: _Facts, indices, codes: list[str]) -> str:
 
 
 def _explain_r3(facts: _Facts, hits: list[int]) -> str:
-    floor, letters = facts.cal.accident_risk_min, [risk.letter for risk in facts.risks]
+    floor, letters = _DC.accident_risk_min._value_.lower(), [risk.letter for risk in facts.risks]
     if hits:
-        return f"Accident risk reaches {floor._value_.lower()} or higher for {_target_listing(facts, hits, letters)}."
+        return f"Accident risk reaches {floor} or higher for {_target_listing(facts, hits, letters)}."
     everyone = _target_listing(facts, range(len(letters)), letters)
-    return f"Every target's accident risk is {_RISKS_BELOW[floor]}: {everyone}."
+    return f"Every target's accident risk is {_RISKS_BELOW}: {everyone}."
 
 
 def _explain_r4(facts: _Facts, hits: list[int]) -> str:
-    floor, codes = facts.cal.significant_damage_min._value_.lower(), [dp.code for dp in facts.parties]
-    reach, reach_adjective = _PARTY_REACH[min(max(facts.cal.significant_party_min, 1), 5)]
+    floor, codes = _DC.significant_damage_min._value_.lower(), [dp.code for dp in facts.parties]
     if hits:
-        return f"Damage at {floor} or above can reach {reach} parties: {_target_listing(facts, hits, codes)}."
+        return f"Damage at {floor} or above can reach {_PARTY_REACH} parties: {_target_listing(facts, hits, codes)}."
     everyone = _target_listing(facts, range(len(codes)), codes)
-    return f"No target combines damage at {floor} or above with {reach_adjective}party reach: {everyone}."
+    return f"No target combines damage at {floor} or above with {_PARTY_REACH_ADJECTIVE}party reach: {everyone}."
 
 
 def _explain_r5(facts: _Facts, hits: list[int]) -> str:
@@ -427,11 +421,11 @@ def _explain_r5(facts: _Facts, hits: list[int]) -> str:
     if hits:
         return f"Damage potential is high for {_target_listing(facts, hits, classes)}."
     everyone = _target_listing(facts, range(len(classes)), classes)
-    return f"No target's damage class reaches {facts.cal.high_damage_min._value_.lower()}: {everyone}."
+    return f"No target's damage class reaches {_DC.high_damage_min._value_.lower()}: {everyone}."
 
 
 def _explain_r6(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
-    review = facts.cal.safety_review_level
+    review = _DC.safety_review_level
     if hits:
         items = [f"{_display(name)} ({dim.level})" for name, dim in hits]
         return f"Safety levels at {review} or higher: {_prose_join(items)}."
@@ -440,7 +434,7 @@ def _explain_r6(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
 
 
 def _explain_r7(facts: _Facts, hits: list[tuple[str, SafetyDimension]]) -> str:
-    critical = facts.cal.safety_critical_level
+    critical = _DC.safety_critical_level
     if hits:
         items = []
         for name, dim in hits:
@@ -502,5 +496,5 @@ def evaluate_rules(
         classes.append(damage_class(t.max_damage, thresholds))
         risks.append(target_accident_risk(t))
         parties.append(target_damage_party(t))
-    facts = _Facts(profile, profile.targets, calibration_for(thresholds), classes, risks, parties)
+    facts = _Facts(profile, profile.targets, classes, risks, parties)
     return RuleReport._decided(facts, _decide(facts))

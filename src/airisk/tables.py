@@ -176,11 +176,11 @@ class DamageThresholds:
     catastrophic: float = 1_000_000_000.0
 
     def __post_init__(self) -> None:
+        amounts = self.minor, self.major, self.severe, self.catastrophic
+        if not all(-math.inf < v < math.inf for v in amounts):  # isfinite overflows on a huge integer
+            raise ValueError("damage thresholds must be finite amounts")
         if not self.minor <= self.major <= self.severe <= self.catastrophic:
             raise ValueError("damage thresholds must be non-decreasing")
-        # Once ordered, the outer two bound all four.
-        if not (-math.inf < self.minor and self.catastrophic < math.inf):
-            raise ValueError("damage thresholds must be finite amounts")
 
 
 DEFAULT_DAMAGE_THRESHOLDS = DamageThresholds()

@@ -156,7 +156,7 @@ def test_bad_threshold_argument_is_a_usage_error():
     assert b"non-decreasing" in result.stderr
 
 
-@pytest.mark.parametrize("amount", ["inf", "1e400"])
+@pytest.mark.parametrize("amount", ["inf", "1e400", "nan"])
 def test_non_finite_thresholds_are_usage_errors(amount):
     thresholds = f"100,1e5,1e7,{amount}"
     for args in (
@@ -167,6 +167,7 @@ def test_non_finite_thresholds_are_usage_errors(amount):
         result = run_cli(*args, "--damage-thresholds", thresholds)
         assert result.returncode == 4, args
         assert result.stdout == b""
+        assert b"damage thresholds must be finite amounts" in result.stderr
         assert b"Traceback" not in result.stderr
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from airisk import (
     RuleId,
     build_report,
     parse_assessment,
+    parse_machine_report,
     render_report,
     serialize_assessment,
     validate_profile,
@@ -21,7 +23,7 @@ from airisk import (
 from airisk import documents
 from airisk.documents import canonical_json_bytes, format_document_error
 
-from conftest import FIXTURES
+from conftest import FIXTURES, GOLDEN
 from genprofiles import random_profile
 
 
@@ -79,6 +81,24 @@ def test_non_utf8_input_is_a_syntax_error():
     errors = parse_errors(b"\xff\xfe{}")
     assert errors[0].kind is ErrorKind.SYNTAX
     assert "UTF-8" in errors[0].message
+
+
+@pytest.mark.parametrize("name", ["not UTF-8", "UTF-16 roomba"])
+def test_a_bytearray_is_read_as_utf8_by_both_parsers(name):
+    utf16 = (FIXTURES / "roomba.json").read_text(encoding="utf-8").encode("utf-16")
+    data = bytearray(b"\xff\xfe{" if name == "not UTF-8" else utf16)
+    message = "not valid UTF-8 (invalid start byte at byte 0)"
+    errors = parse_errors(data)
+    assert [(e.kind, e.message) for e in errors] == [(ErrorKind.SYNTAX, message)]
+    with pytest.raises(ValueError, match=rf"^not a machine report: {re.escape(message)}$"):
+        parse_machine_report(data)
+
+
+def test_a_memoryview_reads_as_its_bytes(roomba):
+    data = (FIXTURES / "roomba.json").read_bytes()
+    assert parse_assessment(memoryview(data)) == parse_assessment(data) == roomba
+    machine = (GOLDEN / "roomba.json").read_bytes()
+    assert parse_machine_report(memoryview(machine)) == parse_machine_report(machine) == build_report(roomba)
 
 
 def test_non_object_document_rejected():

@@ -1,4 +1,4 @@
-"""Invariant checks, score banding, and attention collapsing."""
+"""Invariant checks and attention collapsing."""
 
 import dataclasses
 import hashlib
@@ -11,11 +11,9 @@ from airisk import (
     AssessmentDocumentError,
     AttentionInterval,
     AttentionMode,
-    CouplingCategory,
     DocumentError,
     ErrorKind,
     HumanAttention,
-    InteractionCategory,
     InvalidProfileError,
     MaxDamage,
     Position,
@@ -23,8 +21,6 @@ from airisk import (
     SafetyProfile,
     attention_magnitude,
     build_report,
-    coupling_category,
-    interaction_category,
     parse_assessment,
     validate_profile,
 )
@@ -188,43 +184,6 @@ def test_violations_are_invariant_document_errors(broken_hal_doc):
 def test_omitted_projection_defaults_to_current_level():
     assert SafetyDimension(level=2).projected == 2
     assert SafetyDimension(level=2, projected=3).projected == 3
-
-
-# Score banding: 1-2 low, 3 middle, 4-5 high.
-@pytest.mark.parametrize(
-    "score,expected",
-    [
-        (1, CouplingCategory.LOW),
-        (2, CouplingCategory.LOW),
-        (3, CouplingCategory.MEDIUM),
-        (4, CouplingCategory.HIGH),
-        (5, CouplingCategory.HIGH),
-    ],
-)
-def test_coupling_banding(score, expected):
-    assert coupling_category(score) is expected
-
-
-@pytest.mark.parametrize(
-    "score,expected",
-    [
-        (1, InteractionCategory.LINEAR),
-        (2, InteractionCategory.LINEAR),
-        (3, InteractionCategory.MODERATE),
-        (4, InteractionCategory.COMPLEX),
-        (5, InteractionCategory.COMPLEX),
-    ],
-)
-def test_interaction_banding(score, expected):
-    assert interaction_category(score) is expected
-
-
-@pytest.mark.parametrize("score", [0, 6, -1])
-def test_banding_rejects_out_of_range_scores(score):
-    with pytest.raises(ValueError):
-        coupling_category(score)
-    with pytest.raises(ValueError):
-        interaction_category(score)
 
 
 def test_attention_magnitude_keeps_intermittent_interval():

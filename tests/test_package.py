@@ -10,7 +10,7 @@ import sys
 import types
 
 import airisk
-from airisk import AssessmentDocumentError, AssessmentProfile, RiskReport, cli, model, tables
+from airisk import AssessmentDocumentError, AssessmentProfile, RiskReport, cli, model, rules, tables
 from airisk import build_report, evaluate_rules, parse_assessment, render_report
 from airisk.documents import SCHEMA, _version
 
@@ -50,6 +50,21 @@ def test_each_fact_sits_in_the_module_that_decides_it():
 
 def _syntax_tree(module: str) -> ast.Module:
     return ast.parse((PKG_ROOT / "src" / "airisk" / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def test_the_rules_compare_against_one_fixed_calibration():
+    """The decision pass carries no calibration: only a report records one,
+    so ``calibration_for`` is called where a report is built or read back."""
+    assert not any("cal" in slot for slot in rules._Facts.__slots__)
+    callers = {
+        f"{module}.{function.name}"
+        for module in LAYERS
+        for function in ast.walk(_syntax_tree(module))
+        if isinstance(function, ast.FunctionDef) and function.name != "calibration_for"
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("calibration_for")
+    }
+    assert callers == {"report.build_report", "documents.parse_machine_report"}
 
 
 def test_every_output_is_laid_out_in_report_and_encoded_in_one_place():

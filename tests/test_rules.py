@@ -19,7 +19,7 @@ from airisk import (
     TimeDelay,
     evaluate_rules,
 )
-from airisk.rules import Calibration, RiskLevel, RuleReport, _decide, _explain, _Facts
+from airisk.rules import RuleReport
 
 import digests
 from genprofiles import gap_of, profile, random_profile, target
@@ -95,42 +95,17 @@ def test_r3_fires_and_names_the_risky_targets():
 
 def test_the_rationale_names_the_calibrations_cutoff():
     p = profile(targets=(target("calm"), target("edgy", coupling=3, complexity=3)))
-    decided = evaluate_rules(p)._facts
-    cells = decided.classes, decided.risks, decided.parties
-    assert _explain(decided, _decide(decided))[2].rationale == "Accident risk reaches medium or higher for edgy (M)."
-    strict = _Facts(p, p.targets, Calibration(accident_risk_min=RiskLevel.HIGH), *cells)
-    below = "Every target's accident risk is low or medium: calm (L) and edgy (M)."
-    assert _explain(strict, _decide(strict))[2].rationale == below
-    strict.risks = [RiskLevel.LOW, RiskLevel.HIGH]
-    assert _explain(strict, _decide(strict))[2].rationale == "Accident risk reaches high or higher for edgy (H)."
+    assert evaluate_rules(p).findings[2].rationale == "Accident risk reaches medium or higher for edgy (M)."
 
 
 def test_r4_names_the_calibrations_party_cutoff(hal9000, roomba):
-    def r4(p, cutoff):
-        d = evaluate_rules(p)._facts
-        facts = _Facts(p, p.targets, Calibration(significant_party_min=cutoff), d.classes, d.risks, d.parties)
-        return _explain(facts, _decide(facts))[3].rationale
-
     assert RULES[3].condition.endswith(" above with party degree 3 or 4")
-    reach = "Damage at medium or above can reach {} parties: {}."
-    assert r4(hal9000, 3) == reach.format("3rd or 4th", "Navigation (M3) and Social interactions (M4)")
-    assert r4(hal9000, 4) == reach.format("4th", "Social interactions (M4)")
-    assert r4(hal9000, 2) == reach.format("2nd, 3rd, or 4th", "Navigation (M3) and Social interactions (M4)")
-    none = "No target combines damage at medium or above with {}party reach: " + (
+    reach = "Damage at medium or above can reach 3rd or 4th parties: Navigation (M3) and Social interactions (M4)."
+    assert evaluate_rules(hal9000).findings[3].rationale == reach
+    none = "No target combines damage at medium or above with 3rd- or 4th-party reach: " + (
         "Robot Movement (L2) and Cleanliness of Floor (L2)."
     )
-    assert r4(roomba, 3) == none.format("3rd- or 4th-")
-    assert r4(roomba, 4) == none.format("4th-")
-    assert r4(roomba, 2) == none.format("2nd-, 3rd-, or 4th-")
-
-
-def test_r4_reads_a_party_cutoff_below_the_1st_degree_as_the_1st(hal9000):
-    d = evaluate_rules(hal9000)._facts
-    for cutoff in (1, 0, -3):
-        cal = Calibration(significant_party_min=cutoff)
-        facts = _Facts(hal9000, hal9000.targets, cal, d.classes, d.risks, d.parties)
-        rationale = _explain(facts, _decide(facts))[3].rationale
-        assert rationale.startswith("Damage at medium or above can reach 1st, 2nd, 3rd, or 4th parties: "), cutoff
+    assert evaluate_rules(roomba).findings[3].rationale == none
 
 
 # -- R4: significant damage reaching 3rd or 4th parties --

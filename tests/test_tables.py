@@ -1,4 +1,4 @@
-"""Decision-table lookups, quadrant placement, and damage classes."""
+"""Score banding, decision-table lookups, quadrant placement, and damage classes."""
 
 import math
 import re
@@ -39,6 +39,35 @@ LIN, MOD, CPX = InteractionCategory.LINEAR, InteractionCategory.MODERATE, Intera
 )
 def test_accident_risk_cells(coupling, interaction, expected):
     assert accident_risk(coupling, interaction).letter == expected
+
+
+# Score banding: 1-2 low, 3 middle, 4-5 high.
+@pytest.mark.parametrize(
+    "score,expected",
+    [
+        (1, CouplingCategory.LOW),
+        (2, CouplingCategory.LOW),
+        (3, CouplingCategory.MEDIUM),
+        (4, CouplingCategory.HIGH),
+        (5, CouplingCategory.HIGH),
+    ],
+)
+def test_coupling_banding(score, expected):
+    assert coupling_category(score) is expected
+
+
+@pytest.mark.parametrize(
+    "score,expected",
+    [
+        (1, InteractionCategory.LINEAR),
+        (2, InteractionCategory.LINEAR),
+        (3, InteractionCategory.MODERATE),
+        (4, InteractionCategory.COMPLEX),
+        (5, InteractionCategory.COMPLEX),
+    ],
+)
+def test_interaction_banding(score, expected):
+    assert interaction_category(score) is expected
 
 
 def _scored(coupling, interaction):
@@ -123,7 +152,7 @@ def test_damage_thresholds_must_be_non_decreasing():
         DamageThresholds(minor=100, major=50, severe=10, catastrophic=5)
 
 
-@pytest.mark.parametrize("bound", [{"catastrophic": math.inf}, {"minor": -math.inf}])
+@pytest.mark.parametrize("bound", [{"catastrophic": math.inf}, {"minor": -math.inf}, {"major": math.nan}])
 def test_damage_thresholds_must_be_finite_amounts(bound):
     with pytest.raises(ValueError, match="damage thresholds must be finite amounts"):
         DamageThresholds(**bound)
