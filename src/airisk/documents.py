@@ -230,7 +230,7 @@ SCHEMA: dict[type, tuple[tuple, ...]] = {
     # The machine report.
     DamagePartyProfile: (("damage", RiskLevel), ("party_degree", _int)),
     TargetResult: (
-        ("name", _str),
+        ("name", _name),
         (("max_damage", "max_damage_text"), _str),
         ("damage_class", DamageClass),
         ("accident_risk", RiskLevel),
@@ -267,7 +267,7 @@ SCHEMA: dict[type, tuple[tuple, ...]] = {
     ),
     RiskReport: (
         (("schema_version", None), _version),
-        ("profile_name", _str),
+        ("profile_name", _name),
         ("intervention", InterventionIndicators),
         (("targets", "target_results"), [TargetResult]),
         ("safety", SafetyProfile),
@@ -501,8 +501,8 @@ def parse_machine_report(data: bytes | str) -> RiskReport:
         _validate_safety(errors, report.safety)
     if not errors:  # decoded and in range, so the rules can read it
         results, cal = report.target_results, calibration_for(report.calibration.damage_thresholds)
-        cells = [r.damage_class for r in results], [r.accident_risk for r in results], [r.damage_party for r in results]
-        facts = _Facts(report, results, *cells)  # the report's own cells: no table is looked up
+        cells = [(r.damage_class, r.accident_risk, r.damage_party) for r in results]
+        facts = _Facts(report, results, cells)  # the report's own cells: no table is looked up
         _expect(errors, "findings", report.rule_findings.findings, _explain(facts, _decide(facts)))
         _expect(errors, "calibration", report.calibration, cal)
     if errors:

@@ -97,7 +97,7 @@ def build_report(
     findings = evaluate_rules(profile, thresholds)
     facts = findings._facts  # the decision pass's lookups
     results = []
-    for target, cls, risk, party in zip(profile.targets, facts.classes, facts.risks, facts.parties):
+    for target, (cls, risk, party) in zip(profile.targets, facts.cells):
         q = None
         if target.position is not None:
             q = quadrant(target.position.gap, target.position.energy)
@@ -238,7 +238,7 @@ def _render_text(report: RiskReport, color: bool = False) -> str:
 
 
 def _md_escape(s: str) -> str:
-    return s.replace("|", "\\|")
+    return s.replace("\\", "\\\\").replace("|", "\\|")
 
 
 def _md_table(rows: Sequence[Sequence[str]]) -> list[str]:

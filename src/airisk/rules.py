@@ -5,11 +5,12 @@ suppresses another.  Evaluation always produces exactly seven findings, in
 rule order, with a rationale naming the field values that decided the
 outcome whether or not the rule fired.
 
-Evaluation runs in two steps.  A decision pass works from each target's
-damage class, accident risk and damage/party profile, computed once, and
-settles which rules fire and which targets qualify.  The rationale text is
-written from those outcomes only when a report's findings are first read,
-so callers that need just the triggered rules never pay for the prose.
+Evaluation runs in two steps.  A decision pass computes each target's
+damage class, accident risk and damage/party profile once, finds the worst
+class and the targets that qualify for R3, R4 and R5 in one loop over them,
+and settles which rules fire.  The rationale text is written from those
+outcomes only when a report's findings are first read, so callers that
+need just the triggered rules never pay for the prose.
 
 The cutoffs that sharpen qualitative phrases like "very small" or "poor"
 into decidable predicates live in one frozen ``Calibration``.  The rules
@@ -162,7 +163,7 @@ class RuleReport:
 
     def triggered_rules(self) -> tuple[RuleId, ...]:
         if self._findings is None:
-            return tuple([rule.id for rule, outcome in zip(RULES, self._outcomes) if outcome])
+            return tuple([rule for rule, outcome in zip(_RULE_IDS, self._outcomes) if outcome])
         return tuple(f.rule for f in self._findings if f.triggered)
 
     def __eq__(self, other: object) -> bool:
@@ -225,12 +226,13 @@ def _party_degrees(cutoff: int, form: str = "{}") -> str:
 
 _DC = DEFAULT_CALIBRATION  # the cutoffs every rule compares against
 _NEGLIGIBLE = DamageClass.NEGLIGIBLE  # bound once, as model.py explains
-# From those cutoffs, bound once: the ranks the decision pass compares with,
+# From those cutoffs, bound once: the floors the decision pass compares with,
 # and the rationale's phrases for R3's levels below its floor and R4's party reach.
 _RISK_FLOOR, _DAMAGE_FLOOR = RISK_RANK[_DC.accident_risk_min], RISK_RANK[_DC.significant_damage_min]
 _CLASS_FLOOR, _ATTENTION_FLOOR = DAMAGE_CLASS_RANK[_DC.high_damage_min], ATTENTION_RANK[_DC.poor_attention_min]
+_PARTY_FLOOR = _DC.significant_party_min
 _RISKS_BELOW = " or ".join([risk._value_.lower() for risk in RISK_RANK][:_RISK_FLOOR])
-_PARTY_REACH, _PARTY_REACH_ADJECTIVE = (_party_degrees(_DC.significant_party_min, form) for form in ("{}{}", "{}{}-"))
+_PARTY_REACH, _PARTY_REACH_ADJECTIVE = (_party_degrees(_PARTY_FLOOR, form) for form in ("{}{}", "{}{}-"))
 
 RULES: tuple[RuleDefinition, ...] = (
     RuleDefinition(
@@ -291,6 +293,7 @@ RULES: tuple[RuleDefinition, ...] = (
         (Measure.AIR_GAP_STRICT_PROTOCOLS, Measure.ETHICS_BOARD, Measure.AI_SAFETY_EXPERT_CONSULTATION),
     ),
 )
+_RULE_IDS = tuple([rule.id for rule in RULES])  # bound once for triggered_rules()
 
 
 def _sentence(parts: list[str], tail: str = "") -> str:
@@ -304,17 +307,28 @@ def _display(dimension_name: str) -> str:
 
 class _Facts:
     """Everything the rules read, from a profile or a report (``source``) and
-    its targets or target results, which give the names; the per-target
-    lists follow them."""
+    its targets or target results, which give the names.  ``cells`` holds each
+    target's (damage class, accident risk, damage/party profile); one loop over
+    them finds the worst class and ``hits``, the R3, R4 and R5 target indices."""
 
-    __slots__ = ("intervention", "safety", "targets", "magnitude", "classes", "risks", "parties", "worst", "r1")
+    __slots__ = ("intervention", "safety", "targets", "magnitude", "cells", "worst", "hits", "r1")
 
-    def __init__(self, source, targets: tuple, classes: list, risks: list, parties: list):
+    def __init__(self, source, targets: tuple, cells: list):
         ind = self.intervention = source.intervention
-        self.safety, self.targets = source.safety, targets
+        self.safety, self.targets, self.cells = source.safety, targets, cells
         self.magnitude = attention_magnitude(ind.attention)
-        self.classes, self.risks, self.parties = classes, risks, parties
-        self.worst = max(classes, key=DAMAGE_CLASS_RANK.__getitem__)
+        r3, r4, r5 = self.hits = [], [], []
+        worst_rank = -1
+        for i, (cls, risk, dp) in enumerate(cells):
+            rank = DAMAGE_CLASS_RANK[cls]
+            if rank > worst_rank:  # the first of the worst, as max() gives
+                worst_rank, self.worst = rank, cls
+            if RISK_RANK[risk] >= _RISK_FLOOR:
+                r3.append(i)
+            if dp.party_degree >= _PARTY_FLOOR and RISK_RANK[dp.damage] >= _DAMAGE_FLOOR:
+                r4.append(i)
+            if rank >= _CLASS_FLOOR:
+                r5.append(i)
         self.r1 = (  # R1's inputs: delay very small, observability poor, attention poor, effects trivial
             ind.time_delay in _DC.very_small_time_delays,
             ind.observability <= _DC.poor_observability_max,
@@ -340,13 +354,7 @@ def _decide(facts: _Facts) -> tuple:
     return (
         delay_small and (obs_poor or att_poor) and not trivial,
         ind.correctability <= _DC.low_correctability_max and not ind.can_take_offline,
-        [i for i, risk in enumerate(facts.risks) if RISK_RANK[risk] >= _RISK_FLOOR],
-        [
-            i
-            for i, dp in enumerate(facts.parties)
-            if dp.party_degree >= _DC.significant_party_min and RISK_RANK[dp.damage] >= _DAMAGE_FLOOR
-        ],
-        [i for i, cls in enumerate(facts.classes) if DAMAGE_CLASS_RANK[cls] >= _CLASS_FLOOR],
+        *facts.hits,
         review,
         critical,
     )
@@ -401,7 +409,7 @@ def _target_listing(facts: _Facts, indices, codes: list[str]) -> str:
 
 
 def _explain_r3(facts: _Facts, hits: list[int]) -> str:
-    floor, letters = _DC.accident_risk_min._value_.lower(), [risk.letter for risk in facts.risks]
+    floor, letters = _DC.accident_risk_min._value_.lower(), [risk.letter for _, risk, _ in facts.cells]
     if hits:
         return f"Accident risk reaches {floor} or higher for {_target_listing(facts, hits, letters)}."
     everyone = _target_listing(facts, range(len(letters)), letters)
@@ -409,7 +417,7 @@ def _explain_r3(facts: _Facts, hits: list[int]) -> str:
 
 
 def _explain_r4(facts: _Facts, hits: list[int]) -> str:
-    floor, codes = _DC.significant_damage_min._value_.lower(), [dp.code for dp in facts.parties]
+    floor, codes = _DC.significant_damage_min._value_.lower(), [dp.code for _, _, dp in facts.cells]
     if hits:
         return f"Damage at {floor} or above can reach {_PARTY_REACH} parties: {_target_listing(facts, hits, codes)}."
     everyone = _target_listing(facts, range(len(codes)), codes)
@@ -417,7 +425,7 @@ def _explain_r4(facts: _Facts, hits: list[int]) -> str:
 
 
 def _explain_r5(facts: _Facts, hits: list[int]) -> str:
-    classes = [cls._value_.lower() for cls in facts.classes]
+    classes = [cls._value_.lower() for cls, _, _ in facts.cells]
     if hits:
         return f"Damage potential is high for {_target_listing(facts, hits, classes)}."
     everyone = _target_listing(facts, range(len(classes)), classes)
@@ -491,10 +499,7 @@ def evaluate_rules(
     violations = validate_profile(profile)
     if violations:
         raise InvalidProfileError(violations)
-    classes, risks, parties = [], [], []
-    for t in profile.targets:
-        classes.append(damage_class(t.max_damage, thresholds))
-        risks.append(target_accident_risk(t))
-        parties.append(target_damage_party(t))
-    facts = _Facts(profile, profile.targets, classes, risks, parties)
+    targets = profile.targets
+    cells = [(damage_class(t.max_damage, thresholds), target_accident_risk(t), target_damage_party(t)) for t in targets]
+    facts = _Facts(profile, targets, cells)
     return RuleReport._decided(facts, _decide(facts))

@@ -151,6 +151,14 @@ def test_markdown_render_escapes_pipes(roomba):
     assert "a\\|b" in out
 
 
+def test_markdown_render_escapes_backslashes_before_pipes(roomba):
+    """A cell reads back as the name: ``Arm\\|Base`` is written ``Arm\\\\\\|Base``."""
+    spiky = dataclasses.replace(roomba.targets[0], name="Arm\\|Base")
+    profile = dataclasses.replace(roomba, targets=(spiky, roomba.targets[1]))
+    out = render_report(build_report(profile), "markdown").decode("utf-8")
+    assert "\n| Arm\\\\\\|Base | " in out
+
+
 def test_machine_render_round_trips(roomba, hal9000, tay):
     for profile in (roomba, hal9000, tay):
         for thresholds in (DEFAULT_DAMAGE_THRESHOLDS, DamageThresholds(1, 2.5, 3, 4)):
@@ -287,6 +295,15 @@ def test_an_unknown_key_is_rejected_at_every_level(path):
 def test_plausible_but_wrong_values_are_rejected(path, value):
     with pytest.raises(ValueError, match=re.escape(f" {_dotted(path)}: ")):
         parse_machine_report(_with(_report_object(), path, value))
+
+
+@pytest.mark.parametrize("path", [("profile_name",), ("targets", 0, "name")], ids=_dotted)
+@pytest.mark.parametrize("name", ["Roomba\n\x1b[2J", "Robot\nMovement"])
+def test_the_printed_names_refuse_control_characters(path, name):
+    """The report's two printed names follow the profile document's rule."""
+    with pytest.raises(ValueError) as exc:
+        parse_machine_report(_with(_report_object(), path, name))
+    assert str(exc.value) == f"not a machine report: {_dotted(path)}: must not contain control characters"
 
 
 def test_range_problems_carry_the_validators_messages_first_in_document_order():
