@@ -8,8 +8,8 @@ catalogs go to standard output (or --out); every diagnostic goes to
 standard error, so output can be piped or captured cleanly.
 
 Exit codes: 0 success, 1 invariant violations in a well-formed document,
-2 document cannot be decoded, 3 unreadable or unwritable paths, 4 bad
-command line.
+2 document cannot be decoded, 3 unreadable or unwritable paths or standard
+output, 4 bad command line.
 """
 
 from __future__ import annotations
@@ -87,17 +87,19 @@ def _read_document(path: str) -> bytes | None:
 
 
 def _emit(payload: bytes, out: str | None) -> ExitStatus:
-    if out is not None:
-        try:
-            Path(out).write_bytes(payload)
-        except OSError as e:
-            _eprint(f"{out}: cannot write: {e.strerror or e}")
-            return ExitStatus.IO
-        return ExitStatus.OK
     try:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    except BrokenPipeError:
+        if out is not None:
+            Path(out).write_bytes(payload)
+        else:
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
+    except OSError as e:
+        if out is None:  # the interpreter flushes stdout again at exit: leave that flush nothing to fail on
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            if isinstance(e, BrokenPipeError):  # the reader has gone: nothing to tell it
+                return ExitStatus.IO
+        _eprint(f"{'<stdout>' if out is None else out}: cannot write: {e.strerror or e}")
         return ExitStatus.IO
     return ExitStatus.OK
 

@@ -64,7 +64,6 @@ from .rules import (
     RuleId,
     RuleReport,
     TargetResult,
-    _decide,
     _explain,
     _Facts,
     calibration_for,
@@ -501,9 +500,8 @@ def parse_machine_report(data: bytes | str) -> RiskReport:
         _validate_safety(errors, report.safety)
     if not errors:  # decoded and in range, so the rules can read it
         results, cal = report.target_results, calibration_for(report.calibration.damage_thresholds)
-        cells = [(r.damage_class, r.accident_risk, r.damage_party) for r in results]
-        facts = _Facts(report, results, cells)  # the report's own cells: no table is looked up
-        _expect(errors, "findings", report.rule_findings.findings, _explain(facts, _decide(facts)))
+        cells = [(r.damage_class, r.accident_risk, r.damage_party) for r in results]  # no table is looked up
+        _expect(errors, "findings", report.rule_findings.findings, _explain(_Facts(report, results, cells)))
         _expect(errors, "calibration", report.calibration, cal)
     if errors:
         raise ValueError(f"not a machine report: {format_document_error(errors[0])}")

@@ -5,12 +5,13 @@ suppresses another.  Evaluation always produces exactly seven findings, in
 rule order, with a rationale naming the field values that decided the
 outcome whether or not the rule fired.
 
-Evaluation runs in two steps.  A decision pass computes each target's
-damage class, accident risk and damage/party profile once, finds the worst
-class and the targets that qualify for R3, R4 and R5 in one loop over them,
-and settles which rules fire.  The rationale text is written from those
-outcomes only when a report's findings are first read, so callers that
-need just the triggered rules never pay for the prose.
+Evaluation runs in two steps.  The decision pass is one object: it reads
+each target's damage class, accident risk and damage/party profile, finds
+the worst class and the targets that qualify for R3, R4 and R5 in one loop
+over them, and holds ``outcomes``, which rules fire and on what.  The
+rationale text is written from that object only when a report's findings
+are first read, so callers that need just the triggered rules never pay
+for the prose.
 
 The cutoffs that sharpen qualitative phrases like "very small" or "poor"
 into decidable predicates live in one frozen ``Calibration``.  The rules
@@ -136,34 +137,34 @@ class RuleReport:
     """All seven findings, in rule order.
 
     A report built from explicit findings holds them as given.  One from
-    evaluate_rules holds the decision pass's outcomes and writes the
-    findings, rationales included, the first time ``findings`` is read.
+    evaluate_rules holds the decision pass, with its ``outcomes``, and writes
+    the findings, rationales included, the first time ``findings`` is read.
     Equality, hashing and repr go through ``findings``, so both kinds
     compare equal when their findings are.
     """
 
-    __slots__ = ("_findings", "_facts", "_outcomes")
+    __slots__ = ("_findings", "_facts")
 
     def __init__(self, findings: tuple[Finding, ...]):
         self._findings = tuple(findings)
-        self._facts = self._outcomes = None
+        self._facts = None
 
     @classmethod
-    def _decided(cls, facts: _Facts, outcomes: tuple) -> RuleReport:
+    def _decided(cls, facts: _Facts) -> RuleReport:
         report = cls.__new__(cls)
         report._findings = None
-        report._facts, report._outcomes = facts, outcomes
+        report._facts = facts
         return report
 
     @property
     def findings(self) -> tuple[Finding, ...]:
         if self._findings is None:
-            self._findings = _explain(self._facts, self._outcomes)
+            self._findings = _explain(self._facts)
         return self._findings
 
     def triggered_rules(self) -> tuple[RuleId, ...]:
         if self._findings is None:
-            return tuple([rule for rule, outcome in zip(_RULE_IDS, self._outcomes) if outcome])
+            return tuple([rule for rule, outcome in zip(_RULE_IDS, self._facts.outcomes) if outcome])
         return tuple(f.rule for f in self._findings if f.triggered)
 
     def __eq__(self, other: object) -> bool:
@@ -231,6 +232,7 @@ _NEGLIGIBLE = DamageClass.NEGLIGIBLE  # bound once, as model.py explains
 _RISK_FLOOR, _DAMAGE_FLOOR = RISK_RANK[_DC.accident_risk_min], RISK_RANK[_DC.significant_damage_min]
 _CLASS_FLOOR, _ATTENTION_FLOOR = DAMAGE_CLASS_RANK[_DC.high_damage_min], ATTENTION_RANK[_DC.poor_attention_min]
 _PARTY_FLOOR = _DC.significant_party_min
+_REVIEW_LEVEL, _CRITICAL_LEVEL = _DC.safety_review_level, _DC.safety_critical_level
 _RISKS_BELOW = " or ".join([risk._value_.lower() for risk in RISK_RANK][:_RISK_FLOOR])
 _PARTY_REACH, _PARTY_REACH_ADJECTIVE = (_party_degrees(_PARTY_FLOOR, form) for form in ("{}{}", "{}{}-"))
 
@@ -306,18 +308,21 @@ def _display(dimension_name: str) -> str:
 
 
 class _Facts:
-    """Everything the rules read, from a profile or a report (``source``) and
-    its targets or target results, which give the names.  ``cells`` holds each
-    target's (damage class, accident risk, damage/party profile); one loop over
-    them finds the worst class and ``hits``, the R3, R4 and R5 target indices."""
+    """The decision pass, over a profile or a report (``source``) and its targets
+    or target results, which give the names.  ``cells`` holds each target's
+    (damage class, accident risk, damage/party profile); one loop over them finds
+    the worst class and the R3, R4 and R5 targets.  ``outcomes`` holds one outcome
+    per rule, in rule order, truthy iff it fires: R1 and R2 a bool, R3-R5 a list
+    of the qualifying targets' indices, R6 and R7 one of the qualifying
+    (name, dimension) safety pairs."""
 
-    __slots__ = ("intervention", "safety", "targets", "magnitude", "cells", "worst", "hits", "r1")
+    __slots__ = ("intervention", "safety", "targets", "magnitude", "cells", "worst", "r1", "outcomes")
 
     def __init__(self, source, targets: tuple, cells: list):
         ind = self.intervention = source.intervention
         self.safety, self.targets, self.cells = source.safety, targets, cells
         self.magnitude = attention_magnitude(ind.attention)
-        r3, r4, r5 = self.hits = [], [], []
+        r3, r4, r5, review, critical = [], [], [], [], []
         worst_rank = -1
         for i, (cls, risk, dp) in enumerate(cells):
             rank = DAMAGE_CLASS_RANK[cls]
@@ -329,35 +334,20 @@ class _Facts:
                 r4.append(i)
             if rank >= _CLASS_FLOOR:
                 r5.append(i)
-        self.r1 = (  # R1's inputs: delay very small, observability poor, attention poor, effects trivial
+        for name, dim in source.safety.dimensions():
+            if dim.level >= _REVIEW_LEVEL:
+                review.append((name, dim))
+            if dim.level >= _CRITICAL_LEVEL or dim.projected >= _CRITICAL_LEVEL:
+                critical.append((name, dim))
+        delay_small, obs_poor, att_poor, trivial = self.r1 = (  # R1's inputs, kept for its explainer
             ind.time_delay in _DC.very_small_time_delays,
             ind.observability <= _DC.poor_observability_max,
             ATTENTION_RANK[self.magnitude] >= _ATTENTION_FLOOR,
             self.worst is _NEGLIGIBLE,
         )
-
-
-def _decide(facts: _Facts) -> tuple:
-    """The decision pass: one outcome per rule, in rule order, truthy iff it fires.
-
-    R1 and R2 give a bool; R3-R5 a list of the qualifying targets' indices;
-    R6 and R7 a list of the qualifying (name, dimension) safety pairs.
-    """
-    ind, (delay_small, obs_poor, att_poor, trivial) = facts.intervention, facts.r1
-    review_level, critical_level = _DC.safety_review_level, _DC.safety_critical_level
-    review, critical = [], []
-    for name, dim in facts.safety.dimensions():
-        if dim.level >= review_level:
-            review.append((name, dim))
-        if dim.level >= critical_level or dim.projected >= critical_level:
-            critical.append((name, dim))
-    return (
-        delay_small and (obs_poor or att_poor) and not trivial,
-        ind.correctability <= _DC.low_correctability_max and not ind.can_take_offline,
-        *facts.hits,
-        review,
-        critical,
-    )
+        r1_fires = delay_small and (obs_poor or att_poor) and not trivial
+        r2_fires = ind.correctability <= _DC.low_correctability_max and not ind.can_take_offline
+        self.outcomes = (r1_fires, r2_fires, r3, r4, r5, review, critical)
 
 
 # -- rationale text: each explainer turns one rule's outcome into prose --
@@ -460,10 +450,10 @@ _EXPLAINERS = (_explain_r1, _explain_r2, _explain_r3, _explain_r4, _explain_r5, 
 _TARGET_RULES = frozenset({RuleId.R3, RuleId.R4, RuleId.R5})
 
 
-def _explain(facts: _Facts, outcomes: tuple) -> tuple[Finding, ...]:
-    """Turn the decision pass's outcomes into the seven findings, with rationales."""
+def _explain(facts: _Facts) -> tuple[Finding, ...]:
+    """Turn the decision pass's ``outcomes`` into the seven findings, with rationales."""
     findings = []
-    for definition, outcome, explain in zip(RULES, outcomes, _EXPLAINERS):
+    for definition, outcome, explain in zip(RULES, facts.outcomes, _EXPLAINERS):
         rationale = explain(facts, outcome)
         if not outcome:
             findings.append(Finding(definition.id, False, (), rationale))
@@ -501,5 +491,4 @@ def evaluate_rules(
         raise InvalidProfileError(violations)
     targets = profile.targets
     cells = [(damage_class(t.max_damage, thresholds), target_accident_risk(t), target_damage_party(t)) for t in targets]
-    facts = _Facts(profile, targets, cells)
-    return RuleReport._decided(facts, _decide(facts))
+    return RuleReport._decided(_Facts(profile, targets, cells))

@@ -1,11 +1,12 @@
 """Decision tables mapping schema factors to risk results.
 
-Two exact 3x3 lookups drive the recommendation rules: coupling x
-interaction complexity, both banded here from 1-5 scores, yields the
-accident-risk level, and energy level x knowledge gap yields the damage
-magnitude together with the party degree, i.e. how far from the system its
-victims sit (1st parties operate it, 2nd parties work alongside or use it,
-3rd parties are bystanders, 4th parties are future generations).
+Two exact 3x3 tables, each held as one grid that every lookup indexes,
+drive the recommendation rules: coupling x interaction complexity, both
+banded here from 1-5 scores, yields the accident-risk level, and energy
+level x knowledge gap yields the damage magnitude together with the party
+degree, i.e. how far from the system its victims sit (1st parties operate
+it, 2nd parties work alongside or use it, 3rd parties are bystanders, 4th
+parties are future generations).
 
 A five-class damage ordinal classifies max-damage estimates so the rules
 can speak of "trivial" and "high damage potential" targets; its monetary
@@ -78,42 +79,6 @@ _L, _M, _H, _C = RiskLevel.LOW, RiskLevel.MEDIUM, RiskLevel.HIGH, RiskLevel.CATA
 _NEGLIGIBLE, _MINOR, _MAJOR, _SEVERE, _CATASTROPHIC = DamageClass
 _REPUTATION_MINOR, _REPUTATION_MAJOR = Reputational.MINOR, Reputational.MAJOR
 
-# Accident severity by coupling (rows) and interaction complexity (columns).
-ACCIDENT_RISK_TABLE: dict[tuple[CouplingCategory, InteractionCategory], RiskLevel] = {
-    (CouplingCategory.HIGH, InteractionCategory.LINEAR): _M,
-    (CouplingCategory.HIGH, InteractionCategory.MODERATE): _H,
-    (CouplingCategory.HIGH, InteractionCategory.COMPLEX): _C,
-    (CouplingCategory.MEDIUM, InteractionCategory.LINEAR): _L,
-    (CouplingCategory.MEDIUM, InteractionCategory.MODERATE): _M,
-    (CouplingCategory.MEDIUM, InteractionCategory.COMPLEX): _H,
-    (CouplingCategory.LOW, InteractionCategory.LINEAR): _L,
-    (CouplingCategory.LOW, InteractionCategory.MODERATE): _L,
-    (CouplingCategory.LOW, InteractionCategory.COMPLEX): _M,
-}
-
-# Damage magnitude and party degree by energy level (rows) and knowledge gap (columns).
-DAMAGE_PARTY_TABLE: dict[tuple[EnergyLevel, KnowledgeGap], DamagePartyProfile] = {
-    (EnergyLevel.HIGH, KnowledgeGap.LOW): DamagePartyProfile(_H, 3),
-    (EnergyLevel.HIGH, KnowledgeGap.MEDIUM): DamagePartyProfile(_H, 3),
-    (EnergyLevel.HIGH, KnowledgeGap.HIGH): DamagePartyProfile(_C, 4),
-    (EnergyLevel.MEDIUM, KnowledgeGap.LOW): DamagePartyProfile(_M, 3),
-    (EnergyLevel.MEDIUM, KnowledgeGap.MEDIUM): DamagePartyProfile(_M, 3),
-    (EnergyLevel.MEDIUM, KnowledgeGap.HIGH): DamagePartyProfile(_H, 4),
-    (EnergyLevel.LOW, KnowledgeGap.LOW): DamagePartyProfile(_L, 2),
-    (EnergyLevel.LOW, KnowledgeGap.MEDIUM): DamagePartyProfile(_L, 2),
-    (EnergyLevel.LOW, KnowledgeGap.HIGH): DamagePartyProfile(_M, 4),
-}
-
-
-def accident_risk(coupling: CouplingCategory, interaction: InteractionCategory) -> RiskLevel:
-    """Look up the accident severity for a coupling/interaction pair."""
-    return ACCIDENT_RISK_TABLE[(CouplingCategory(coupling), InteractionCategory(interaction))]
-
-
-def damage_and_party(energy: EnergyLevel, gap: KnowledgeGap) -> DamagePartyProfile:
-    """Look up damage magnitude and party degree for an energy/gap pair."""
-    return DAMAGE_PARTY_TABLE[(EnergyLevel(energy), KnowledgeGap(gap))]
-
 
 def _band(score: int, what: str) -> int:
     # Scores 1-5 fold into three bands: 1-2 low, 3 middle, 4-5 high.
@@ -136,8 +101,30 @@ def interaction_category(score: int) -> InteractionCategory:
     return _INTERACTION_BANDS[_band(score, "interaction complexity score")]
 
 
-# ACCIDENT_RISK_TABLE by _band index, through the same bands as the two functions above.
-_ACCIDENT_RISK_GRID = tuple(tuple(ACCIDENT_RISK_TABLE[(c, x)] for x in _INTERACTION_BANDS) for c in _COUPLING_BANDS)
+# Rows and columns run from low to high, in the enums' order: accident severity by coupling (rows)
+# and interaction complexity (columns); damage/party by energy level (rows) and knowledge gap (columns).
+_ACCIDENT_RISK_GRID = (
+    (_L, _L, _M),
+    (_L, _M, _H),
+    (_M, _H, _C),
+)
+_DAMAGE_PARTY_GRID = (
+    (DamagePartyProfile(_L, 2), DamagePartyProfile(_L, 2), DamagePartyProfile(_M, 4)),
+    (DamagePartyProfile(_M, 3), DamagePartyProfile(_M, 3), DamagePartyProfile(_H, 4)),
+    (DamagePartyProfile(_H, 3), DamagePartyProfile(_H, 3), DamagePartyProfile(_C, 4)),
+)
+_ENERGY_AT, _GAP_AT = ({member: i for i, member in enumerate(enum)} for enum in (EnergyLevel, KnowledgeGap))
+
+
+def accident_risk(coupling: CouplingCategory, interaction: InteractionCategory) -> RiskLevel:
+    """Look up the accident severity for a coupling/interaction pair."""
+    row = _COUPLING_BANDS.index(CouplingCategory(coupling))
+    return _ACCIDENT_RISK_GRID[row][_INTERACTION_BANDS.index(InteractionCategory(interaction))]
+
+
+def damage_and_party(energy: EnergyLevel, gap: KnowledgeGap) -> DamagePartyProfile:
+    """Look up damage magnitude and party degree for an energy/gap pair."""
+    return _DAMAGE_PARTY_GRID[_ENERGY_AT[EnergyLevel(energy)]][_GAP_AT[KnowledgeGap(gap)]]
 
 
 def target_accident_risk(target: TargetAssessment) -> RiskLevel:
@@ -148,7 +135,7 @@ def target_accident_risk(target: TargetAssessment) -> RiskLevel:
 
 def target_damage_party(target: TargetAssessment) -> DamagePartyProfile:
     """Damage/party profile for one target; its energy and gap are already enums."""
-    return DAMAGE_PARTY_TABLE[(target.energy_level, target.knowledge_gap)]
+    return _DAMAGE_PARTY_GRID[_ENERGY_AT[target.energy_level]][_GAP_AT[target.knowledge_gap]]
 
 
 def quadrant(gap: float, energy: float) -> int:

@@ -42,11 +42,12 @@ def tay() -> AssessmentProfile:
     return load_fixture("tay")
 
 
-def run_cli(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
-    """Invoke the CLI as a subprocess, capturing stdout/stderr as bytes."""
+def run_cli(*args: str, cwd: Path | None = None, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Invoke the CLI as a subprocess, capturing stderr (and by default stdout) as bytes."""
     return subprocess.run(
         [sys.executable, "-m", "airisk", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         cwd=cwd or PKG_ROOT,
         timeout=60,
     )

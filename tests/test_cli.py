@@ -5,6 +5,7 @@ reaches into the implementation.
 """
 
 import json
+import os
 
 import pytest
 
@@ -194,6 +195,29 @@ def test_unwritable_out_path_exits_three(tmp_path):
     result = run_cli("assess", str(FIXTURES / "roomba.json"), "--out", str(dest))
     assert result.returncode == 3
     assert b"cannot write" in result.stderr
+
+
+_STDOUT_COMMANDS = [("assess", str(FIXTURES / "roomba.json")), ("rules",), ("tables",)]
+
+
+@pytest.mark.parametrize("args", _STDOUT_COMMANDS)
+def test_a_closed_pipe_on_stdout_exits_three_in_silence(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command starts
+    try:
+        result = run_cli(*args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (3, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device here")
+@pytest.mark.parametrize("args", _STDOUT_COMMANDS)
+def test_a_full_stdout_exits_three_with_one_line(args):
+    with open("/dev/full", "wb") as full:
+        result = run_cli(*args, stdout=full)
+    assert result.returncode == 3
+    assert result.stderr == b"<stdout>: cannot write: No space left on device\n"
 
 
 def test_piped_output_carries_no_color_codes():

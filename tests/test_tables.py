@@ -115,6 +115,11 @@ def test_damage_party_cells(energy, gap, expected):
 def test_lookup_accepts_raw_enum_values():
     assert accident_risk("High", "Complex") is RiskLevel.CATASTROPHIC
     assert damage_and_party("low", "high").code == "M4"
+    # Unknown labels are refused by the enums, before any grid is indexed.
+    with pytest.raises(ValueError):
+        accident_risk("Bogus", "Linear")
+    with pytest.raises(ValueError):
+        damage_and_party("low", "huge")
 
 
 def test_risk_level_letters():
