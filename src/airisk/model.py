@@ -216,6 +216,7 @@ class InvalidProfileError(ValueError):
 
 
 _INVARIANT = ErrorKind.INVARIANT_VIOLATION
+_SCORES = frozenset(range(1, 6))  # a coupling or interaction score is one of these: 2.5, None and "3" are not
 
 
 def _violation(path: str, message: str) -> DocumentError:
@@ -284,15 +285,16 @@ def _validate_target(out: list[DocumentError], i: int, target: TargetAssessment)
         out.append(_violation(f"targets[{i}].max_damage.monetary_usd", f"must {bound}, got {d.monetary_usd!r}"))
     if d.lives_at_risk is not None and d.lives_at_risk < 0:
         out.append(_violation(f"targets[{i}].max_damage.lives_at_risk", f"must be non-negative, got {d.lives_at_risk!r}"))
-    if not 1 <= target.coupling <= 5:
+    if target.coupling not in _SCORES:
         out.append(_out_of_range(f"targets[{i}].coupling", target.coupling, 1, 5))
-    if not 1 <= target.interaction_complexity <= 5:
+    if target.interaction_complexity not in _SCORES:
         out.append(_out_of_range(f"targets[{i}].interaction_complexity", target.interaction_complexity, 1, 5))
-    if target.position is not None:
-        for axis in ("gap", "energy"):
-            value = getattr(target.position, axis)
-            if not 0 <= value <= 1:
-                out.append(_out_of_range(f"targets[{i}].position.{axis}", value, 0, 1))
+    position = target.position
+    if position is not None:
+        if not 0 <= position.gap <= 1:
+            out.append(_out_of_range(f"targets[{i}].position.gap", position.gap, 0, 1))
+        if not 0 <= position.energy <= 1:
+            out.append(_out_of_range(f"targets[{i}].position.energy", position.energy, 0, 1))
 
 
 def validate_profile(profile: AssessmentProfile) -> list[DocumentError]:

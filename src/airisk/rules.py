@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 from .model import (
     ATTENTION_RANK,
@@ -164,7 +165,9 @@ class RuleReport:
 
     def triggered_rules(self) -> tuple[RuleId, ...]:
         if self._findings is None:
-            return tuple([rule for rule, outcome in zip(_RULE_IDS, self._facts.outcomes) if outcome])
+            # Through a list, so the tuple is made at its size: tuple() of the bare iterator makes
+            # 10 slots and shrinks them, and on sweep that left peak RSS 0.8 MB higher.
+            return tuple([*compress(_RULE_IDS, self._facts.outcomes)])
         return tuple(f.rule for f in self._findings if f.triggered)
 
     def __eq__(self, other: object) -> bool:
@@ -227,8 +230,10 @@ def _party_degrees(cutoff: int, form: str = "{}") -> str:
 
 _DC = DEFAULT_CALIBRATION  # the cutoffs every rule compares against
 _NEGLIGIBLE = DamageClass.NEGLIGIBLE  # bound once, as model.py explains
-# From those cutoffs, bound once: the floors the decision pass compares with,
-# and the rationale's phrases for R3's levels below its floor and R4's party reach.
+# From those cutoffs, bound once: R1's delays and R1's and R2's cutoffs, the floors the decision
+# pass compares with, and the rationale's phrases for R3's levels below its floor and R4's party reach.
+_SMALL_DELAYS = frozenset(_DC.very_small_time_delays)
+_OBSERVABILITY_MAX, _CORRECTABILITY_MAX = _DC.poor_observability_max, _DC.low_correctability_max
 _RISK_FLOOR, _DAMAGE_FLOOR = RISK_RANK[_DC.accident_risk_min], RISK_RANK[_DC.significant_damage_min]
 _CLASS_FLOOR, _ATTENTION_FLOOR = DAMAGE_CLASS_RANK[_DC.high_damage_min], ATTENTION_RANK[_DC.poor_attention_min]
 _PARTY_FLOOR = _DC.significant_party_min
@@ -321,13 +326,13 @@ class _Facts:
     def __init__(self, source, targets: tuple, cells: list):
         ind = self.intervention = source.intervention
         self.safety, self.targets, self.cells = source.safety, targets, cells
-        self.magnitude = attention_magnitude(ind.attention)
+        magnitude = self.magnitude = attention_magnitude(ind.attention)
         r3, r4, r5, review, critical = [], [], [], [], []
         worst_rank = -1
         for i, (cls, risk, dp) in enumerate(cells):
             rank = DAMAGE_CLASS_RANK[cls]
             if rank > worst_rank:  # the first of the worst, as max() gives
-                worst_rank, self.worst = rank, cls
+                worst_rank, worst = rank, cls
             if RISK_RANK[risk] >= _RISK_FLOOR:
                 r3.append(i)
             if dp.party_degree >= _PARTY_FLOOR and RISK_RANK[dp.damage] >= _DAMAGE_FLOOR:
@@ -339,14 +344,15 @@ class _Facts:
                 review.append((name, dim))
             if dim.level >= _CRITICAL_LEVEL or dim.projected >= _CRITICAL_LEVEL:
                 critical.append((name, dim))
+        self.worst = worst
         delay_small, obs_poor, att_poor, trivial = self.r1 = (  # R1's inputs, kept for its explainer
-            ind.time_delay in _DC.very_small_time_delays,
-            ind.observability <= _DC.poor_observability_max,
-            ATTENTION_RANK[self.magnitude] >= _ATTENTION_FLOOR,
-            self.worst is _NEGLIGIBLE,
+            ind.time_delay in _SMALL_DELAYS,
+            ind.observability <= _OBSERVABILITY_MAX,
+            ATTENTION_RANK[magnitude] >= _ATTENTION_FLOOR,
+            worst is _NEGLIGIBLE,
         )
         r1_fires = delay_small and (obs_poor or att_poor) and not trivial
-        r2_fires = ind.correctability <= _DC.low_correctability_max and not ind.can_take_offline
+        r2_fires = ind.correctability <= _CORRECTABILITY_MAX and not ind.can_take_offline
         self.outcomes = (r1_fires, r2_fires, r3, r4, r5, review, critical)
 
 

@@ -2,11 +2,11 @@
 
 Two exact 3x3 tables, each held as one grid that every lookup indexes,
 drive the recommendation rules: coupling x interaction complexity, both
-banded here from 1-5 scores, yields the accident-risk level, and energy
-level x knowledge gap yields the damage magnitude together with the party
-degree, i.e. how far from the system its victims sit (1st parties operate
-it, 2nd parties work alongside or use it, 3rd parties are bystanders, 4th
-parties are future generations).
+banded here from 1-5 scores by one score-to-band table, yields the
+accident-risk level, and energy level x knowledge gap yields the damage
+magnitude with the party degree, i.e. how far from the system its victims
+sit (1st parties operate it, 2nd parties work alongside or use it, 3rd
+parties are bystanders, 4th parties are future generations).
 
 A five-class damage ordinal classifies max-damage estimates so the rules
 can speak of "trivial" and "high damage potential" targets; its monetary
@@ -78,13 +78,15 @@ class DamagePartyProfile:
 _L, _M, _H, _C = RiskLevel.LOW, RiskLevel.MEDIUM, RiskLevel.HIGH, RiskLevel.CATASTROPHIC
 _NEGLIGIBLE, _MINOR, _MAJOR, _SEVERE, _CATASTROPHIC = DamageClass
 _REPUTATION_MINOR, _REPUTATION_MAJOR = Reputational.MINOR, Reputational.MAJOR
+# The banding rule, as one table: scores 1-5 fold into three bands, 1-2 low, 3 middle, 4-5 high.
+_BAND_OF_SCORE = {1: 0, 2: 0, 3: 1, 4: 2, 5: 2}
 
 
 def _band(score: int, what: str) -> int:
-    # Scores 1-5 fold into three bands: 1-2 low, 3 middle, 4-5 high.
-    if not 1 <= score <= 5:
-        raise ValueError(f"{what} must be between 1 and 5, got {score!r}")
-    return 0 if score <= 2 else 1 if score == 3 else 2
+    try:
+        return _BAND_OF_SCORE[score]
+    except (KeyError, TypeError):  # outside 1-5, 2.5, None or "3"
+        raise ValueError(f"{what} must be between 1 and 5, got {score!r}") from None
 
 
 _COUPLING_BANDS = tuple(CouplingCategory)
@@ -129,8 +131,11 @@ def damage_and_party(energy: EnergyLevel, gap: KnowledgeGap) -> DamagePartyProfi
 
 def target_accident_risk(target: TargetAssessment) -> RiskLevel:
     """Accident risk for one target, banding its raw 1-5 scores first."""
-    row = _band(target.coupling, "coupling score")
-    return _ACCIDENT_RISK_GRID[row][_band(target.interaction_complexity, "interaction complexity score")]
+    try:
+        return _ACCIDENT_RISK_GRID[_BAND_OF_SCORE[target.coupling]][_BAND_OF_SCORE[target.interaction_complexity]]
+    except (KeyError, TypeError):  # a score out of range: _band names it
+        row = _band(target.coupling, "coupling score")
+        return _ACCIDENT_RISK_GRID[row][_band(target.interaction_complexity, "interaction complexity score")]
 
 
 def target_damage_party(target: TargetAssessment) -> DamagePartyProfile:

@@ -132,6 +132,18 @@ def test_coupling_and_complexity_score_ranges(roomba):
     assert "targets[0].interaction_complexity" in paths
 
 
+@pytest.mark.parametrize("score", [2.5, None, "3"])
+def test_a_score_that_is_not_a_whole_one_to_five_is_a_violation(roomba, score):
+    """Not only a score outside 1-5: one between two scores, or of another type,
+    is reported too, and not banded or raised as a TypeError."""
+    bad = dataclasses.replace(roomba.targets[0], coupling=score, interaction_complexity=score)
+    errors = validate_profile(dataclasses.replace(roomba, targets=(bad, roomba.targets[1])))
+    assert [(e.path, e.message) for e in errors] == [
+        ("targets[0].coupling", f"must be between 1 and 5, got {score!r}"),
+        ("targets[0].interaction_complexity", f"must be between 1 and 5, got {score!r}"),
+    ]
+
+
 def test_position_must_stay_on_unit_square(roomba):
     bad = dataclasses.replace(roomba.targets[0], position=Position(gap=1.2, energy=-0.1))
     paths = violation_paths(dataclasses.replace(roomba, targets=(bad, roomba.targets[1])))
@@ -284,4 +296,4 @@ def test_diagnostics_and_accident_risks_match_their_pinned_digest():
             scored = dataclasses.replace(target, coupling=coupling, interaction_complexity=interaction)
             lines.append(_outcome(target_accident_risk, scored))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "c3c656024fbd45135a10a8db030d5d1c11f46cb87c86cdbbe04db0413f18eaee"
+    assert digest == "43c5cc9dbfb73ec41f2dbe6198b12c9348d34af528f61d50c2498cfd98107953"

@@ -202,6 +202,12 @@ def test_invalid_profiles_are_refused():
     assert any(v.path == "intervention.observability" for v in exc.value.violations)
 
 
+def test_a_fractional_score_is_refused_not_banded():
+    with pytest.raises(InvalidProfileError) as exc:
+        evaluate_rules(profile(targets=(target(coupling=2.5, complexity=5),)))
+    assert [v.path for v in exc.value.violations] == ["targets[0].coupling"]
+
+
 def test_rule_catalog_is_complete():
     assert [r.id for r in RULES] == list(RuleId)
     for r in RULES:

@@ -1,6 +1,7 @@
 """Score banding, decision-table lookups, quadrant placement, and damage classes."""
 
 import math
+import random
 import re
 
 import pytest
@@ -20,10 +21,13 @@ from airisk import (
     coupling_category,
     damage_and_party,
     damage_class,
+    evaluate_rules,
     interaction_category,
     quadrant,
 )
+from airisk import tables
 from airisk.tables import target_accident_risk
+from genprofiles import random_profile
 
 LOW, MED, HIGH = CouplingCategory.LOW, CouplingCategory.MEDIUM, CouplingCategory.HIGH
 LIN, MOD, CPX = InteractionCategory.LINEAR, InteractionCategory.MODERATE, InteractionCategory.COMPLEX
@@ -88,7 +92,7 @@ def test_target_accident_risk_bands_then_looks_up():
             assert target_accident_risk(_scored(c, x)) is expected
 
 
-@pytest.mark.parametrize("score", [0, 6, -1])
+@pytest.mark.parametrize("score", [0, 6, -1, 2.5, None, "3"])
 def test_target_accident_risk_rejects_scores_as_the_banding_does(score):
     with pytest.raises(ValueError) as banding:
         coupling_category(score)
@@ -98,6 +102,24 @@ def test_target_accident_risk_rejects_scores_as_the_banding_does(score):
         interaction_category(score)
     with pytest.raises(ValueError, match=f"^{re.escape(str(banding.value))}$"):
         target_accident_risk(_scored(3, score))
+
+
+def test_valid_scores_index_the_grid_without_calling_the_banding(monkeypatch):
+    """A valid target's accident risk is two table probes; only a score out
+    of range reaches _band, so that its error names the score."""
+    calls = []
+    band = tables._band
+    monkeypatch.setattr(tables, "_band", lambda score, what: calls.append(score) or band(score, what))
+    rng = random.Random(2200)
+    for _ in range(200):
+        profile = random_profile(rng)
+        evaluate_rules(profile).triggered_rules()
+        for t in profile.targets:
+            target_accident_risk(t)
+    assert calls == []
+    with pytest.raises(ValueError, match="^interaction complexity score must be between 1 and 5, got 6$"):
+        target_accident_risk(_scored(3, 6))
+    assert calls == [3, 6]
 
 
 @pytest.mark.parametrize(
